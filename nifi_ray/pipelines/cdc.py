@@ -2,11 +2,14 @@
 
 Dataflow per tick:
 
-    read events (lsn filter pushed to row groups; fully-applied files
-                 skipped via footer stats — sources/binlog.py)
-      → premerge        stateless zero-copy Arrow: drop applied lsns,
-                        stamp partition_id (vectorized CRC32),
-                        batch-local LWW collapse (the skew absorber)
+    read events (fully-applied files skipped via footer stats —
+                 sources/binlog.py; a file whose footer proves every
+                 lsn lies in the tick's range with no nulls is read
+                 plainly, the rest push the lsn filter to row groups)
+      → premerge        stateless zero-copy Arrow: validate/quarantine,
+                        drop applied lsns, batch-local LWW collapse
+                        (the skew absorber), then stamp partition_id
+                        (vectorized CRC32) on the survivors only
       → ONE all-to-all exchange, two implementations:
           direct (default): raw-task map/apply — map tasks scatter ≤
               NIFI_RAY_MAX_SHARDS grouped partition shards
@@ -19,7 +22,7 @@ Dataflow per tick:
       → apply, two modes:
           cow (default): read base partition, vectorized LWW merge,
               rewrite the partition part file (deterministic name →
-              idempotent retries)
+              idempotent retries; every part goes through _write_part)
           delta: write ONLY the collapsed events (incl. tombstones) as
               a per-tick delta part — O(delta) bytes; readers overlay
               deltas by LWW (merge-on-read) and compact() folds them
@@ -40,7 +43,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -49,7 +51,6 @@ import pyarrow.parquet as pq
 
 import ray
 
-from ..schema import BASE_SCHEMA, base_fields_of
 from ..stages.evolve import conform, unify
 from ..stages.lww import collapse_last_writer, merge_into_base
 from ..state.manifest import (
@@ -58,9 +59,7 @@ from ..state.manifest import (
     append_lineage,
     commit_manifest,
     load_manifest,
-    manifest_path,
     part_file,
-    partition_dir,
     publish_part,
 )
 from ..util.hashing import (
@@ -139,7 +138,6 @@ def _write_quarantine(quarantine_dir: str, bad: pa.Table) -> str:
     q-{md5(rows)}.parquet — so a retried task (or a re-replay of a
     not-yet-watermarked file) rewrites the same file instead of
     duplicating rows. Atomic rename, same protocol as data parts."""
-    import hashlib
     import io as _io
 
     sink = _io.BytesIO()
@@ -154,6 +152,23 @@ def _write_quarantine(quarantine_dir: str, bad: pa.Table) -> str:
     return out
 
 
+def _write_part(lake_dir: str, rel: str, table: pa.Table) -> int:
+    """Write one lake part (zstd) and publish it at ``rel``; returns its
+    size in bytes. Only non-list columns are dictionary-encoded: a
+    ``tokens`` list over a large vocabulary gains nothing from a
+    dictionary page and pays for building it on every write."""
+    out = os.path.join(lake_dir, rel)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    tmp = out + f".tmp.{os.getpid()}"
+    dict_cols = [
+        f.name for f in table.schema
+        if not (pa.types.is_list(f.type) or pa.types.is_large_list(f.type))
+    ]
+    pq.write_table(table, tmp, compression="zstd", use_dictionary=dict_cols)
+    publish_part(tmp, out)
+    return os.path.getsize(out)
+
+
 def _quarantine_row_count(quarantine_dir: str) -> int:
     """Total quarantined rows (footer metadata only, no data read)."""
     if not os.path.isdir(quarantine_dir):
@@ -165,21 +180,32 @@ def _quarantine_row_count(quarantine_dir: str) -> int:
     )
 
 
+def _drop_applied(t: pa.Table, applied_through: int) -> pa.Table:
+    """Rows with ``lsn > applied_through``. The guard copies the whole
+    table, so it runs only when the minimum LSN says it can drop a row."""
+    if t.num_rows and pc.min(t["lsn"]).as_py() <= applied_through:
+        return t.filter(pc.greater(t["lsn"], applied_through))
+    return t
+
+
 def _premerge_fn(num_partitions: int, applied_through: int, quarantine_dir: str | None = None):
-    """Stateless map_batches body for the pre-shuffle stage."""
+    """Stateless map_batches body for the pre-shuffle stage: validate →
+    LSN guard → LWW collapse → partition stamp. The stamp hashes only
+    the collapse survivors; it is a function of doc_id alone, so the
+    rows match stamp-then-collapse (only ``partition_id`` and
+    ``ev_count`` swap column order)."""
 
     def premerge(batch: pa.Table) -> pa.Table:
         batch, bad = _validate_events(batch)
         if bad.num_rows and quarantine_dir:
             _write_quarantine(quarantine_dir, bad)
-        if applied_through > 0:
-            batch = batch.filter(pc.greater(batch["lsn"], applied_through))
+        batch = _drop_applied(batch, applied_through)
         # drop file-level schema metadata (e.g. pandas dicts): Ray's
         # hash-shuffle schema-dedup cache can't hash it and warns on
         # every reduce task, burying real signals in the logs
         batch = batch.replace_schema_metadata(None)
-        batch = add_partition_column(batch, num_partitions)
-        return collapse_last_writer(batch, count_col="ev_count")
+        batch = collapse_last_writer(batch, count_col="ev_count")
+        return add_partition_column(batch, num_partitions)
 
     return premerge
 
@@ -220,7 +246,7 @@ def _apply_partition_fn(
             )
         events_in = int(pc.sum(group["ev_count"]).as_py() or 0)
         # guard against replayed rows that slipped past the read filter
-        group = group.filter(pc.greater(group["lsn"], applied_through))
+        group = _drop_applied(group, applied_through)
         events_live = int(pc.sum(group["ev_count"]).as_py() or 0)
         dups_dropped = events_in - events_live
         # collapse across batches (associative with the batch-local one)
@@ -255,12 +281,7 @@ def _apply_partition_fn(
         merged = conform(merged, target_schema)
 
         rel = part_file(k, next_version, tick_token)
-        out = os.path.join(lake_dir, rel)
-        os.makedirs(os.path.dirname(out), exist_ok=True)
-        tmp = out + f".tmp.{os.getpid()}"
-        pq.write_table(merged, tmp, compression="zstd")
-        publish_part(tmp, out)
-
+        nbytes = _write_part(lake_dir, rel, merged)
         return pa.table(
             {
                 "partition_id": pa.array([k], pa.int32()),
@@ -272,12 +293,37 @@ def _apply_partition_fn(
                 "events_in": pa.array([events_in], pa.int64()),
                 "dups_dropped": pa.array([dups_dropped], pa.int64()),
                 "deletes": pa.array([n_deletes], pa.int64()),
-                "bytes_written": pa.array([os.path.getsize(out)], pa.int64()),
+                "bytes_written": pa.array([nbytes], pa.int64()),
             },
             schema=_STATS_SCHEMA,
         )
 
     return apply_block
+
+
+def _lsn_footer(md: pq.FileMetaData, lo: int, lsn_hi: int | None) -> tuple[bool, bool]:
+    """(proven, has_nulls) for an event file's ``lsn`` column, from its
+    footer alone. ``proven``: every row group has lsn stats with
+    ``null_count == 0``, ``min > lo`` and ``max <= lsn_hi``, so the LSN
+    read filter would drop nothing. ``has_nulls``: some row group
+    reports lsn nulls, or has no stats to rule them out."""
+    ci = md.schema.to_arrow_schema().get_field_index("lsn")
+    if ci < 0:
+        return False, False
+    proven, has_nulls = True, False
+    for rg in range(md.num_row_groups):
+        st = md.row_group(rg).column(ci).statistics
+        if st is None or (st.null_count or 0) > 0:
+            has_nulls = True
+            proven = False
+        elif not (
+            st.has_null_count
+            and st.has_min_max
+            and st.min > lo
+            and (lsn_hi is None or st.max <= lsn_hi)
+        ):
+            proven = False
+    return proven, has_nulls
 
 
 @ray.remote
@@ -289,44 +335,37 @@ def _cdc_map_task(
     G: int | None = None,
     quarantine_dir: str | None = None,
 ) -> tuple:
-    """Direct-exchange map side: read events (row-group filter pushdown),
-    premerge (validate/quarantine + dedup + partition stamp + LWW
-    collapse), split into G grouped shards (G = P when ungrouped)
+    """Direct-exchange map side: read events, premerge (validate and
+    quarantine → LSN guard → LWW collapse → partition stamp on the
+    survivors), split into G grouped shards (G = P when ungrouped)
     returned as separate objects. Pure → retryable (quarantine parts are
     content-addressed, so a retry rewrites rather than duplicates).
 
-    The lsn row filter silently drops NULL-lsn rows at read time, so
-    those are recovered separately: files whose footer reports lsn
-    nulls (metadata check only — zero cost on clean files) get a second
-    is_null-filtered read routed straight to quarantine."""
+    Each file's footer is read once (``_lsn_footer``). When it proves
+    the whole file lies in (lo, lsn_hi] with no null LSNs, the file
+    takes a plain read; otherwise the LSN range filter is pushed down
+    to the row groups. That filter silently drops NULL-lsn rows, so
+    files whose footer reports lsn nulls get a second is_null-filtered
+    read routed straight to quarantine."""
+    import pyarrow.dataset as pads
+
     _limit_arrow_threads()
     filters = [("lsn", ">", lo)]
     if lsn_hi is not None:
         filters.append(("lsn", "<=", lsn_hi))
-    tables = [pq.read_table(f, filters=filters) for f in files]
-    if quarantine_dir:
-        null_lsn = []
-        for f in files:
-            md = pq.read_metadata(f)
-            ci = md.schema.to_arrow_schema().get_field_index("lsn")
-            if ci < 0:
-                continue
-            if any(
-                (md.row_group(rg).column(ci).statistics is None)
-                or (md.row_group(rg).column(ci).statistics.null_count or 0) > 0
-                for rg in range(md.num_row_groups)
-            ):
-                import pyarrow.dataset as pads
-
-                bad = pads.dataset(f).to_table(filter=pc.field("lsn").is_null())
-                if bad.num_rows:
-                    null_lsn.append(bad)
-        if null_lsn:
-            _write_quarantine(
-                quarantine_dir,
-                pa.concat_tables(null_lsn, promote_options="permissive"),
-            )
-    t = pa.concat_tables(tables, promote_options="permissive").combine_chunks()
+    tables, null_lsn = [], []
+    for f in files:
+        proven, has_nulls = _lsn_footer(pq.read_metadata(f), lo, lsn_hi)
+        tables.append(pq.read_table(f) if proven else pq.read_table(f, filters=filters))
+        if has_nulls and quarantine_dir:
+            bad = pads.dataset(f).to_table(filter=pc.field("lsn").is_null())
+            if bad.num_rows:
+                null_lsn.append(bad)
+    if null_lsn:
+        _write_quarantine(
+            quarantine_dir, pa.concat_tables(null_lsn, promote_options="permissive")
+        )
+    t = pa.concat_tables(tables, promote_options="permissive")
     t = _premerge_fn(P, lo, quarantine_dir)(t)
     return _scatter_by_partition(t, P, G)
 
@@ -377,11 +416,7 @@ def _rescale_write_task(
     else:
         t = schema.empty_table()
     rel = part_file(k, version, tick_token)
-    out = os.path.join(lake_dir, rel)
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    tmp = out + f".tmp.{os.getpid()}"
-    pq.write_table(t, tmp, compression="zstd")
-    publish_part(tmp, out)
+    _write_part(lake_dir, rel, t)
     return {
         "partition_id": k,
         "file": rel,
@@ -502,7 +537,7 @@ def _cdc_delta_task(
         k = int(pid)
         t = block.filter(pc.equal(block["partition_id"], pid))
         events_in = int(pc.sum(t["ev_count"]).as_py() or 0)
-        t = t.filter(pc.greater(t["lsn"], lo))
+        t = _drop_applied(t, lo)
         events_live = int(pc.sum(t["ev_count"]).as_py() or 0)
         t = collapse_last_writer(t, count_col="ev_count")
         if t.num_rows == 0:
@@ -514,11 +549,7 @@ def _cdc_delta_task(
         )
         payload = conform(payload, _event_target(schema))
         rel = _delta_file(k, next_version, tick_token)
-        out = os.path.join(lake_dir, rel)
-        os.makedirs(os.path.dirname(out), exist_ok=True)
-        tmp = out + f".tmp.{os.getpid()}"
-        pq.write_table(payload, tmp, compression="zstd")
-        publish_part(tmp, out)
+        nbytes = _write_part(lake_dir, rel, payload)
         out_rows.append(
             {
                 "partition_id": k,
@@ -530,7 +561,7 @@ def _cdc_delta_task(
                 "events_in": events_in,
                 "dups_dropped": events_in - events_live,
                 "deletes": n_deletes,
-                "bytes_written": os.path.getsize(out),
+                "bytes_written": nbytes,
             }
         )
     return out_rows
@@ -557,17 +588,41 @@ def _compact_task(
     deltas = [pq.read_table(os.path.join(lake_dir, d)) for d in delta_rels]
     merged = _merge_partition(base, deltas, schema)
     rel = part_file(k, next_version, tick_token)
-    out = os.path.join(lake_dir, rel)
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    tmp = out + f".tmp.{os.getpid()}"
-    pq.write_table(merged, tmp, compression="zstd")
-    publish_part(tmp, out)
+    nbytes = _write_part(lake_dir, rel, merged)
     return {
         "partition_id": k,
         "file": rel,
         "rows": merged.num_rows,
         "token_hash": state_checksum(merged),
-        "bytes_written": os.path.getsize(out),
+        "bytes_written": nbytes,
+    }
+
+
+@ray.remote(num_cpus=1)
+def _lookup_task(
+    lake_dir: str, schema_b64: bytes, file: str, deltas: list[str],
+    want: list[str], want_cols: list[str] | None,
+) -> pa.Table:
+    """One partition's point read for ``CDCLake.lookup``."""
+    _limit_arrow_threads()
+    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
+    flt = [("doc_id", "in", want)]
+    base = pq.read_table(os.path.join(lake_dir, file), filters=flt)
+    ds_ = [pq.read_table(os.path.join(lake_dir, d), filters=flt) for d in deltas]
+    t = _merge_partition(base, ds_, schema)
+    return t.select(want_cols) if want_cols else t
+
+
+@ray.remote
+def _verify_task(lake_dir: str, k: int, rel: str) -> dict:
+    """Recompute one part file's row count and checksum for ``verify``."""
+    _limit_arrow_threads()
+    t = pq.read_table(os.path.join(lake_dir, rel))
+    return {
+        "partition_id": k,
+        "file": rel,
+        "rows": t.num_rows,
+        "token_hash": state_checksum(t),
     }
 
 
@@ -756,11 +811,7 @@ class CDCLake:
             tbl = group.drop_columns(["partition_id"]).sort_by("doc_id")
             tbl = conform(tbl, pa.ipc.read_schema(pa.BufferReader(schema_b64)))
             rel = part_file(k, 1)
-            out = os.path.join(lake_dir, rel)
-            os.makedirs(os.path.dirname(out), exist_ok=True)
-            tmp = out + f".tmp.{os.getpid()}"
-            pq.write_table(tbl, tmp, compression="zstd")
-            publish_part(tmp, out)
+            _write_part(lake_dir, rel, tbl)
             return {
                 "partition_id": k,
                 "file": rel,
@@ -1101,10 +1152,6 @@ class CDCLake:
         partition's deltas LWW over just the surviving rows. A k-id
         lookup on a P-partition lake costs ≤ min(k, P) tasks and
         row-group-sized I/O, never a lake scan."""
-        import ray as _ray
-
-        from ..util.hashing import partition_of
-
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
@@ -1116,31 +1163,19 @@ class CDCLake:
         for i, p in zip(ids, pids):
             by_part.setdefault(int(p), []).append(i)
 
-        lake_dir = self.lake_dir
         schema_b64 = m.schema.serialize().to_pybytes()
-
-        @_ray.remote(num_cpus=1)
-        def _lookup_task(file, deltas, want, want_cols):
-            _limit_arrow_threads()
-            schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-            flt = [("doc_id", "in", want)]
-            base = pq.read_table(os.path.join(lake_dir, file), filters=flt)
-            ds_ = [
-                pq.read_table(os.path.join(lake_dir, d), filters=flt)
-                for d in deltas
-            ]
-            t = _merge_partition(base, ds_, schema)
-            return t.select(want_cols) if want_cols else t
-
         refs = []
         for p, want in sorted(by_part.items()):
             e = m.partitions.get(str(p)) or m.partitions.get(p)
             if e is None:
                 continue
             refs.append(
-                _lookup_task.remote(e["file"], list(e.get("deltas", [])), want, columns)
+                _lookup_task.remote(
+                    self.lake_dir, schema_b64, e["file"],
+                    list(e.get("deltas", [])), want, columns,
+                )
             )
-        parts = _ray.get(refs)
+        parts = ray.get(refs)
         if not parts:
             return m.schema.empty_table()
         return pa.concat_tables(parts).sort_by("doc_id")
@@ -1865,19 +1900,6 @@ class CDCLake:
         m = self.manifest(version)
         if m is None:
             raise FileNotFoundError("lake not initialized")
-        lake_dir = self.lake_dir
-
-        @ray.remote
-        def check(k: int, rel: str) -> dict:
-            _limit_arrow_threads()
-            t = pq.read_table(os.path.join(lake_dir, rel))
-            return {
-                "partition_id": k,
-                "file": rel,
-                "rows": t.num_rows,
-                "token_hash": state_checksum(t),
-            }
-
         refs, want = [], {}
         skipped = 0
         for k, e in m.partitions.items():
@@ -1886,14 +1908,14 @@ class CDCLake:
             if any(d not in meta for d in deltas):
                 skipped += 1  # legacy manifest without per-delta records
                 continue
-            refs.append(check.remote(k, e["file"]))
+            refs.append(_verify_task.remote(self.lake_dir, k, e["file"]))
             want[(k, e["file"])] = {
                 "rows": e["rows"],
                 "hash": int(e["token_hash"]),
                 "rev": int(e.get("hash_rev", 1)),
             }
             for d in deltas:
-                refs.append(check.remote(k, d))
+                refs.append(_verify_task.remote(self.lake_dir, k, d))
                 want[(k, d)] = {
                     "rows": meta[d]["rows"],
                     "hash": int(meta[d]["hash"]),

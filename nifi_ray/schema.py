@@ -43,13 +43,6 @@ EVENT_SCHEMA = pa.schema(
 )
 
 
-def event_schema_with(extra: list[pa.Field]) -> pa.Schema:
-    """EVENT_SCHEMA plus extra columns (schema-evolution fixtures)."""
-    fields = list(EVENT_SCHEMA)
-    fields.extend(extra)
-    return pa.schema(fields)
-
-
 def base_fields_of(schema: pa.Schema) -> pa.Schema:
     """Project an (evolved) event schema down to its lake/base columns
     (drop the CDC bookkeeping columns ``lsn``/``op``, keep everything

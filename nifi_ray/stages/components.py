@@ -165,28 +165,6 @@ def connected_components(pairs, max_rounds: int = 10):
     return out.sort_values("node").reset_index(drop=True)
 
 
-def dedup_keep_component_min(ds, pairs, id_col: str):
-    """Drop every row whose id is in a duplicate component but is not
-    the component's minimum (DetectDuplicate policy over near-dup
-    groups): broadcast the drop-set, anti-join filter."""
-    import ray
-
-    comp = connected_components(pairs)
-    drop = set(comp.loc[comp["node"] != comp["component"], "node"].tolist())
-    drop_ref = ray.put(drop)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        if not d:
-            return batch
-        mask = pc.invert(
-            pc.is_in(batch[id_col], value_set=pa.array(list(d), batch[id_col].type))
-        )
-        return batch.filter(mask)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------- PageRank
 
 

@@ -29,21 +29,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def last_per_key_indices(sorted_keys: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Indices of the last row of each run of equal keys (input must be
-    sorted by key). Vectorized via adjacent-inequality."""
-    n = len(sorted_keys)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(sorted_keys, pa.ChunkedArray):
-        sorted_keys = sorted_keys.combine_chunks()
-    neq = pc.not_equal(sorted_keys.slice(0, n - 1), sorted_keys.slice(1, n)).to_numpy(
-        zero_copy_only=False
-    )
-    # neq[i] True → row i is the last of its run; row n-1 always is
-    return np.append(np.flatnonzero(neq), n - 1)
-
-
 def collapse_last_writer(
     table: pa.Table,
     key: str = "doc_id",

@@ -480,32 +480,44 @@ class Mp4FrameRouter:
     files parse their CONTAINER fine but hit the seam's
     NotImplementedError, which is caught per file and emitted as
     status='unsupported_codec' with the codec name — the error path is
-    data, not a crash, so one avc1 file in 10^9 can't kill the job."""
+    data, not a crash, so one avc1 file in 10^9 can't kill the job.
+    A truncated or corrupt container (``ValueError``/``struct.error``
+    from the box walk or frame decode) routes the same way as
+    status='parse_error'."""
 
     def __init__(self, every: int = 3):
         self.every = every
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import struct
+
         from .bmff import parse_mp4
 
         ids, codecs, status, nfr, psum = [], [], [], [], []
         for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
-            vid = next(
-                (t for t in parse_mp4(p)["tracks"] if t.get("handler") == "vide"), {}
-            )
-            ids.append(mid)
-            codecs.append(vid.get("codec", ""))
+            codec, st, n, total = "", "ok", 0, 0
             try:
+                vid = next(
+                    (t for t in parse_mp4(p)["tracks"] if t.get("handler") == "vide"),
+                    {},
+                )
+                codec = vid.get("codec", "")
                 frames = list(sample_mp4_frame_payloads(p, self.every))
-                status.append("ok")
-                nfr.append(len(frames))
-                psum.append(
-                    sum(int(decode_ppm(ppm).sum(dtype=np.int64)) for _, ppm in frames)
+                n = len(frames)
+                total = sum(
+                    int(decode_ppm(ppm).sum(dtype=np.int64)) for _, ppm in frames
                 )
             except NotImplementedError:
-                status.append("unsupported_codec")
-                nfr.append(0)
-                psum.append(0)
+                st, n, total = "unsupported_codec", 0, 0
+            except (ValueError, struct.error):
+                # truncated or corrupt container: routed per file, the
+                # rest of the batch still decodes
+                st, n, total = "parse_error", 0, 0
+            ids.append(mid)
+            codecs.append(codec)
+            status.append(st)
+            nfr.append(n)
+            psum.append(total)
         return pa.table(
             {
                 "media_id": pa.array(ids, pa.string()),

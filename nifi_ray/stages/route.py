@@ -58,18 +58,6 @@ def stamp_route(
     return fn
 
 
-def split_routes(ds, routes: Mapping[str, Predicate]) -> dict[str, object]:
-    """N filtered views (one Dataset per relationship, copy-to-each
-    semantics). Matching rows appear in EVERY route whose predicate
-    holds — NiFi's Route-to-Property-name strategy."""
-    out = {}
-    for name, pred in routes.items():
-        out[name] = ds.map_batches(
-            (lambda p: lambda t: t.filter(p(t)))(pred), batch_format="pyarrow"
-        )
-    return out
-
-
 def distribute_load(weights: list[int], out: str = "bucket", key: str | None = None):
     """DistributeLoad analog (reference nifi-standard-processors/.../
     standard/DistributeLoad.java): assign each row to one of

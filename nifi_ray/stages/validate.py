@@ -40,16 +40,6 @@ def matches_regex(col: str, pattern: str) -> Rule:
     )
 
 
-def unique_within_batch(col: str) -> Rule:
-    def rule(t: pa.Table) -> pa.Array:
-        import numpy as np
-
-        vals = t[col].to_pandas()
-        return pa.array((~vals.duplicated(keep=False)).to_numpy())
-
-    return rule
-
-
 def consistent(col_a: str, col_b: str, fn: Callable) -> Rule:
     """Cross-column invariant, e.g. n_tok == len(tokens)."""
     return lambda t: fn(t[col_a], t[col_b])
@@ -81,15 +71,3 @@ def validate(rules: Mapping[str, Rule], out: str = "valid", reason: str = "inval
         )
 
     return fn
-
-
-def split_valid(ds, rules: Mapping[str, Rule]):
-    """Two filtered views: (valid, invalid) — NiFi's two relationships."""
-    checked = ds.map_batches(validate(rules), batch_format="pyarrow")
-    valid = checked.map_batches(
-        lambda t: t.filter(t["valid"]), batch_format="pyarrow"
-    )
-    invalid = checked.map_batches(
-        lambda t: t.filter(pc.invert(t["valid"])), batch_format="pyarrow"
-    )
-    return valid, invalid

@@ -234,17 +234,3 @@ def row_image_hash(table: pa.Table, cols: list[str]) -> np.ndarray:
             ch[null_mask] = _U64_NULL
         h = mix_u64(h * np.uint64(0x94D049BB133111EB) ^ ch ^ np.uint64(ci * 0x9E3779B9))
     return h
-
-
-def token_state_hash(doc_ids: list[str], tokens: list[list[int] | None]) -> int:
-    """Order-insensitive content hash of a {doc_id: tokens} state — used
-    in manifests/lineage as the verification checksum (NiFi analog:
-    site-to-site CRC32 confirmation, reference
-    nifi-site-to-site-client/.../AbstractTransaction.java:177-210)."""
-    import zlib
-
-    acc = 0
-    for d, t in zip(doc_ids, tokens):
-        row = d.encode() + b"|" + (np.asarray(t or [], dtype=np.int32).tobytes())
-        acc ^= zlib.crc32(row)
-    return acc

@@ -214,3 +214,22 @@ def test_frame_geometry_comes_from_stsd_not_tkhd():
     assert (w, h) == (16, 12)                             # coded dims hold
     got = decode_raw_sample(bytes(blob)[spans[1][0]:spans[1][0] + spans[1][1]], w, h)
     assert np.array_equal(got, frames[1])
+
+
+def test_mp4_router_routes_truncated_container_per_file():
+    """A truncated mp4 comes back as status='parse_error' while the
+    rest of the batch still decodes (no batch crash)."""
+    from nifi_ray.stages.multimodal import Mp4FrameRouter
+
+    raw_p = B.encode_mp4_raw_video(_frames(4))
+    cuts = [raw_p[:10], raw_p[:60], raw_p[: len(raw_p) // 2]]
+    batch = pa.table(
+        {
+            "media_id": pa.array(["ok", "t10", "t60", "thalf"]),
+            "payload": pa.array([raw_p, *cuts], pa.binary()),
+        }
+    )
+    out = Mp4FrameRouter(every=2)(batch)
+    assert out["status"].to_pylist() == ["ok"] + ["parse_error"] * 3
+    assert out["n_frames_sampled"].to_pylist() == [2, 0, 0, 0]
+    assert out["psum"].to_pylist()[1:] == [0, 0, 0]

@@ -5,10 +5,11 @@ exists for.
 
     python tools/sustained_replay.py [--events 16000000] [--docs 1000000]
         [--partitions 64] [--tick 2000000] [--mode cow|delta]
-        [--compact-every 4]
+        [--compact-every 4] [--work DIR]
 
 Prints one JSON line per tick (wall, events/s, bytes written) and a
-summary line; results recorded in BASELINE.md.
+summary line with apply and compaction bytes per event and the final
+``verify()`` result; results recorded in BASELINE.md.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def main():
     p.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     p.add_argument("--keep", action="store_true", help="keep the lake dir")
     p.add_argument(
+        "--work", default=None,
+        help="directory for generated inputs and the lake "
+        "(default /tmp/nifi_ray_sustained_<docs>_<events>)",
+    )
+    p.add_argument(
         "--maintain",
         action="store_true",
         help="also maintain a materialized GROUP BY view and a MinHash/"
@@ -64,7 +70,7 @@ def main():
     from nifi_ray.pipelines.cdc import CDCLake
 
     cfg = GenConfig(seed=42, n_docs=args.docs, n_events=args.events)
-    work = f"/tmp/nifi_ray_sustained_{args.docs}_{args.events}"
+    work = args.work or f"/tmp/nifi_ray_sustained_{args.docs}_{args.events}"
     base_dir, ev_dir = f"{work}/base", f"{work}/events"
     warm_workers(args.num_cpus)
     gen_bench_data(cfg, base_dir, ev_dir, shards=64)
@@ -157,13 +163,12 @@ def main():
         print(json.dumps(rec))
 
     rows = lake.read().count()
-    if args.retain:
-        # integrity after N expire+GC cycles: every file the final
-        # manifest references must exist and match its recorded checksum
-        v = lake.verify()
-        if not v["ok"]:
-            print(json.dumps({"event": "VERIFY_FAILED", **v}), file=sys.stderr)
-            raise SystemExit(2)
+    # integrity (after N expire+GC cycles with --retain): every file the
+    # final manifest references must exist and match its recorded checksum
+    v = lake.verify()
+    if not v["ok"]:
+        print(json.dumps({"event": "VERIFY_FAILED", **v}), file=sys.stderr)
+        raise SystemExit(2)
     walls = [t["wall_sec"] for t in ticks]
     extra = {}
     if args.retain:
@@ -190,6 +195,13 @@ def main():
         "steady_tick_sec": round(sorted(walls)[len(walls) // 2], 2),
         "steady_events_per_sec": round(args.tick / sorted(walls)[len(walls) // 2], 1),
         "sum_apply_bytes": sum(t["bytes_written"] for t in ticks),
+        "apply_bytes_per_event": round(
+            sum(t["bytes_written"] for t in ticks) / args.events, 2
+        ),
+        "compact_bytes_per_event": round(
+            sum(t.get("compact_bytes", 0) for t in ticks) / args.events, 2
+        ),
+        "verify_ok": v["ok"],
         "watermark": lake.manifest().applied_through,
         **(
             {
