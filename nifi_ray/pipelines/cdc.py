@@ -11,11 +11,11 @@ Dataflow per tick:
                         (the skew absorber), then stamp partition_id
                         (vectorized CRC32) on the survivors only
       → ONE all-to-all exchange, two implementations:
-          direct (default): raw-task map/apply — map tasks scatter ≤
-              NIFI_RAY_MAX_SHARDS grouped partition shards
-              (num_returns=G), apply tasks consume exactly their
-              group's shards; one object-store write + read per byte;
-              measured 2.5-3x over the Dataset hash shuffle
+          direct (default): raw-task map/apply — map tasks scatter
+              G = min(P, CPUs) grouped partition shards (num_returns=G),
+              apply tasks consume exactly their group's shards and
+              split the pids locally; one object-store write + read per
+              byte; measured 2.5-3x over the Dataset hash shuffle
           dataset: map_batches → repartition(P, keys=[partition_id])
               under HASH shuffle (never a sort — token payloads are
               not order-carrying) → map_batches(apply)
@@ -68,6 +68,7 @@ from ..util.hashing import (
     partition_of,
     state_checksum,
 )
+from ..util.scale import cluster_cpus
 
 _EVENT_META_COLS = ("lsn", "op", "doc_id")
 
@@ -167,6 +168,17 @@ def _write_part(lake_dir: str, rel: str, table: pa.Table) -> int:
     pq.write_table(table, tmp, compression="zstd", use_dictionary=dict_cols)
     publish_part(tmp, out)
     return os.path.getsize(out)
+
+
+def _part_stats(k: int, rel: str, t: pa.Table, **extra) -> dict:
+    """Stats row of full part ``rel`` (table ``t``) of partition ``k``."""
+    return {
+        "partition_id": k,
+        "file": rel,
+        "rows": t.num_rows,
+        "token_hash": state_checksum(t),
+        **extra,
+    }
 
 
 def _quarantine_row_count(quarantine_dir: str) -> int:
@@ -332,13 +344,13 @@ def _cdc_map_task(
     P: int,
     lo: int,
     lsn_hi: int | None,
-    G: int | None = None,
+    G: int,
     quarantine_dir: str | None = None,
 ) -> tuple:
     """Direct-exchange map side: read events, premerge (validate and
     quarantine → LSN guard → LWW collapse → partition stamp on the
-    survivors), split into G grouped shards (G = P when ungrouped)
-    returned as separate objects. Pure → retryable (quarantine parts are
+    survivors), split into G grouped shards returned as separate
+    objects. Pure → retryable (quarantine parts are
     content-addressed, so a retry rewrites rather than duplicates).
 
     Each file's footer is read once (``_lsn_footer``). When it proves
@@ -370,59 +382,77 @@ def _cdc_map_task(
     return _scatter_by_partition(t, P, G)
 
 
-def _scatter_by_partition(t: pa.Table, P: int, G: int | None = None):
-    """Sort by partition code and slice into G shard tables (group g
-    holds the contiguous pid range [g·P/G, (g+1)·P/G) — the apply task
-    splits pids locally). This is the grouped-shard fallback for large
-    P: a map task returns G objects, not P, so P = 100k partitions
-    costs 512 returns per task, not 100k. With num_returns=1 Ray hands
-    the WHOLE return value to the single ref, so G==1 must return the
-    bare table (not a 1-tuple)."""
-    G = P if G is None else min(G, P)
+def _fan_out(n: int) -> int:
+    """Ray tasks for ``n`` work items: one per item, at most one per
+    cluster CPU. More tasks than CPUs only queue, and on a small tick
+    each extra task costs more in scheduling and object transfer than
+    the partition's work inside it."""
+    return min(n, cluster_cpus())
+
+
+def _deal(items: list) -> list[list]:
+    """Deal work items round-robin into ``_fan_out(len(items))`` groups,
+    one Ray task each."""
+    n = _fan_out(len(items))
+    return [items[i::n] for i in range(n)]
+
+
+def _group_bounds(P: int, G: int) -> np.ndarray:
+    """Pid range of exchange group g: [bounds[g], bounds[g + 1])."""
+    return np.linspace(0, P, G + 1).astype(np.int64)
+
+
+def _scatter_by_partition(t: pa.Table, P: int, G: int):
+    """Sort by partition code and slice into G shard tables; shard g
+    holds group g's contiguous pid range (``_group_bounds``) and its
+    apply/write task splits the pids locally. G = ``_fan_out(P)``, so a
+    map task returns at most one object per CPU whatever P is. With
+    num_returns=1 Ray hands the WHOLE return value to the single ref,
+    so G==1 returns the bare table (not a 1-tuple)."""
     if G == 1:
         return t
     codes = t["partition_id"].to_numpy(zero_copy_only=False)
     order = np.argsort(codes, kind="stable")
     s = t.take(pa.array(order))
-    group_lo = np.linspace(0, P, G + 1).astype(np.int64)
-    bounds = np.searchsorted(codes[order], group_lo)
+    bounds = np.searchsorted(codes[order], _group_bounds(P, G))
     return tuple(
         s.slice(int(bounds[g]), int(bounds[g + 1] - bounds[g])) for g in range(G)
     )
 
 
 @ray.remote
-def _rescale_map_task(files: list[str], P: int) -> tuple:
+def _rescale_map_task(files: list[str], P: int, G: int) -> tuple:
     _limit_arrow_threads()
     tables = [pq.read_table(f) for f in files]
     t = pa.concat_tables(tables, promote_options="permissive").combine_chunks()
     t = add_partition_column(t, P)
-    return _scatter_by_partition(t, P)
+    return _scatter_by_partition(t, P, G)
 
 
 @ray.remote
 def _rescale_write_task(
-    lake_dir: str, schema_b64: bytes, version: int, k: int,
+    lake_dir: str, schema_b64: bytes, version: int, pid_lo: int, pid_hi: int,
     tick_token: str | None, *shards: pa.Table
-) -> dict | None:
+) -> list[dict]:
+    """Write one full part per pid in [pid_lo, pid_hi) from this group's
+    shards — an empty partition gets an empty part, so the manifest
+    names every partition."""
     from ..stages.evolve import conform as _conform
 
     _limit_arrow_threads()
     parts = [s for s in shards if s.num_rows]
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-    if parts:
-        t = pa.concat_tables(parts, promote_options="permissive")
-        t = _conform(t.drop_columns(["partition_id"]).sort_by("doc_id"), schema)
-    else:
+    block = pa.concat_tables(parts, promote_options="permissive") if parts else None
+    out = []
+    for k in range(pid_lo, pid_hi):
         t = schema.empty_table()
-    rel = part_file(k, version, tick_token)
-    _write_part(lake_dir, rel, t)
-    return {
-        "partition_id": k,
-        "file": rel,
-        "rows": t.num_rows,
-        "token_hash": state_checksum(t),
-    }
+        if block is not None:
+            t = block.filter(pc.equal(block["partition_id"], k))
+            t = _conform(t.drop_columns(["partition_id"]).sort_by("doc_id"), schema)
+        rel = part_file(k, version, tick_token)
+        _write_part(lake_dir, rel, t)
+        out.append(_part_stats(k, rel, t))
+    return out
 
 
 @ray.remote
@@ -570,60 +600,59 @@ def _cdc_delta_task(
 @ray.remote
 def _compact_task(
     lake_dir: str,
-    base_rel: str | None,
-    delta_rels: list[str],
+    items: list[tuple],
     schema_b64: bytes,
     next_version: int,
-    k: int,
     tick_token: str | None = None,
-) -> dict:
-    """Fold a partition's delta parts into a fresh COW base part."""
+) -> list[dict]:
+    """Fold each ``(k, base_rel, delta_rels)`` partition's delta parts
+    into a fresh COW base part."""
     _limit_arrow_threads()
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-    base = (
-        pq.read_table(os.path.join(lake_dir, base_rel))
-        if base_rel
-        else schema.empty_table()
-    )
-    deltas = [pq.read_table(os.path.join(lake_dir, d)) for d in delta_rels]
-    merged = _merge_partition(base, deltas, schema)
-    rel = part_file(k, next_version, tick_token)
-    nbytes = _write_part(lake_dir, rel, merged)
-    return {
-        "partition_id": k,
-        "file": rel,
-        "rows": merged.num_rows,
-        "token_hash": state_checksum(merged),
-        "bytes_written": nbytes,
-    }
+    out = []
+    for k, base_rel, delta_rels in items:
+        base = (
+            pq.read_table(os.path.join(lake_dir, base_rel))
+            if base_rel
+            else schema.empty_table()
+        )
+        deltas = [pq.read_table(os.path.join(lake_dir, d)) for d in delta_rels]
+        merged = _merge_partition(base, deltas, schema)
+        rel = part_file(k, next_version, tick_token)
+        nbytes = _write_part(lake_dir, rel, merged)
+        out.append(_part_stats(k, rel, merged, bytes_written=nbytes))
+    return out
 
 
 @ray.remote(num_cpus=1)
 def _lookup_task(
-    lake_dir: str, schema_b64: bytes, file: str, deltas: list[str],
-    want: list[str], want_cols: list[str] | None,
+    lake_dir: str, schema_b64: bytes, items: list[tuple],
+    want_cols: list[str] | None,
 ) -> pa.Table:
-    """One partition's point read for ``CDCLake.lookup``."""
+    """Point reads of a group of partitions for ``CDCLake.lookup``: each
+    ``(file, deltas, want)`` item pushes ``doc_id IN want`` into its
+    reads and overlays its deltas."""
     _limit_arrow_threads()
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-    flt = [("doc_id", "in", want)]
-    base = pq.read_table(os.path.join(lake_dir, file), filters=flt)
-    ds_ = [pq.read_table(os.path.join(lake_dir, d), filters=flt) for d in deltas]
-    t = _merge_partition(base, ds_, schema)
-    return t.select(want_cols) if want_cols else t
+    out = []
+    for file, deltas, want in items:
+        flt = [("doc_id", "in", want)]
+        base = pq.read_table(os.path.join(lake_dir, file), filters=flt)
+        ds_ = [pq.read_table(os.path.join(lake_dir, d), filters=flt) for d in deltas]
+        t = _merge_partition(base, ds_, schema)
+        out.append(t.select(want_cols) if want_cols else t)
+    return pa.concat_tables(out)
 
 
 @ray.remote
-def _verify_task(lake_dir: str, k: int, rel: str) -> dict:
-    """Recompute one part file's row count and checksum for ``verify``."""
+def _verify_task(lake_dir: str, items: list[tuple]) -> list[dict]:
+    """Recompute each ``(k, rel)`` part file's row count and checksum
+    for ``verify``."""
     _limit_arrow_threads()
-    t = pq.read_table(os.path.join(lake_dir, rel))
-    return {
-        "partition_id": k,
-        "file": rel,
-        "rows": t.num_rows,
-        "token_hash": state_checksum(t),
-    }
+    return [
+        _part_stats(k, rel, pq.read_table(os.path.join(lake_dir, rel)))
+        for k, rel in items
+    ]
 
 
 _STATS_SCHEMA = pa.schema(
@@ -812,12 +841,7 @@ class CDCLake:
             tbl = conform(tbl, pa.ipc.read_schema(pa.BufferReader(schema_b64)))
             rel = part_file(k, 1)
             _write_part(lake_dir, rel, tbl)
-            return {
-                "partition_id": k,
-                "file": rel,
-                "rows": tbl.num_rows,
-                "token_hash": state_checksum(tbl),
-            }
+            return _part_stats(k, rel, tbl)
 
         def write_block(block: pa.Table) -> pa.Table:
             rows = [
@@ -855,7 +879,9 @@ class CDCLake:
 
         return self._commit_init(num_partitions, schema, stats)
 
-    def _commit_init(self, num_partitions: int, schema: pa.Schema, stats) -> Manifest:
+    def _commit_init(
+        self, num_partitions: int, schema: pa.Schema, stats, plan: dict | None = None
+    ) -> Manifest:
         partitions = {
             int(r["partition_id"]): {
                 "file": r["file"],
@@ -878,6 +904,7 @@ class CDCLake:
                     "kind": "INIT",
                     "rows": sum(p["rows"] for p in partitions.values()),
                     "partitions": len(partitions),
+                    "plan": plan,
                 }
             ],
         )
@@ -885,9 +912,8 @@ class CDCLake:
         return m
 
     def _init_direct(self, files: list[str], num_partitions: int) -> Manifest:
-        """Bootstrap from parquet files via the direct exchange: map
-        tasks read+stamp+scatter, one write task per partition."""
-        P = num_partitions
+        """Bootstrap from parquet files via the direct exchange
+        (``_rewrite_exchange``)."""
         target = None
         for f in files:
             s = pa.schema(
@@ -900,24 +926,35 @@ class CDCLake:
         schema_b64 = target.serialize().to_pybytes()
         os.makedirs(self.lake_dir, exist_ok=True)
 
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n_maps = max(1, min(len(files), ncpu))
-        chunks = [files[i::n_maps] for i in range(n_maps)]
+        stats, plan = self._rewrite_exchange(files, num_partitions, schema_b64, 1, None)
+        return self._commit_init(num_partitions, target, stats, plan)
+
+    def _rewrite_exchange(
+        self, files: list[str], P: int, schema_b64: bytes, version: int,
+        tick_token: str | None,
+    ) -> tuple[list[dict], dict]:
+        """Init and rescale exchange: map tasks read + stamp + scatter
+        whole-row files into G grouped shards, and one write task per
+        group writes a part for every pid in its range. Returns the
+        per-partition stats rows and the task plan."""
+        chunks = _deal(files)
+        G = _fan_out(P)
         map_refs = [
-            _rescale_map_task.options(num_returns=P).remote(chunk, P)
+            _rescale_map_task.options(num_returns=G).remote(chunk, P, G)
             for chunk in chunks
         ]
-        if P == 1:
+        if G == 1:
             map_refs = [[r] for r in map_refs]
-        apply_refs = [
+        bounds = _group_bounds(P, G)
+        write_refs = [
             _rescale_write_task.remote(
-                self.lake_dir, schema_b64, 1, k, None,
-                *[refs[k] for refs in map_refs],
+                self.lake_dir, schema_b64, version, int(bounds[g]),
+                int(bounds[g + 1]), tick_token, *[refs[g] for refs in map_refs],
             )
-            for k in range(P)
+            for g in range(G)
         ]
-        stats = [row for row in ray.get(apply_refs) if row]
-        return self._commit_init(num_partitions, target, stats)
+        stats = [row for rows in ray.get(write_refs) for row in rows]
+        return stats, {"map_tasks": len(chunks), "apply_tasks": G}
 
     # ------------------------------------------------------------ read
     def manifest(self, version: int | None = None) -> Manifest | None:
@@ -1146,11 +1183,12 @@ class CDCLake:
 
         Scale path: the requested ids hash to their partitions
         (util/hashing.partition_of — the SAME function the write
-        exchange uses), so only touched partitions spawn a task, and
-        each task pushes ``doc_id IN (...)`` into the parquet read
-        (row-group stat pruning + dictionary filtering), merging the
-        partition's deltas LWW over just the surviving rows. A k-id
-        lookup on a P-partition lake costs ≤ min(k, P) tasks and
+        exchange uses), so only touched partitions are read; they are
+        dealt into ≤ CPUs tasks, and each partition's read pushes
+        ``doc_id IN (...)`` into the parquet scan (row-group stat
+        pruning + dictionary filtering), merging the partition's deltas
+        LWW over just the surviving rows. A k-id lookup on a
+        P-partition lake costs ≤ min(k, P, CPUs) tasks and
         row-group-sized I/O, never a lake scan."""
         m = self.manifest(version)
         if m is None or not m.partitions:
@@ -1164,18 +1202,17 @@ class CDCLake:
             by_part.setdefault(int(p), []).append(i)
 
         schema_b64 = m.schema.serialize().to_pybytes()
-        refs = []
+        items = []
         for p, want in sorted(by_part.items()):
             e = m.partitions.get(str(p)) or m.partitions.get(p)
-            if e is None:
-                continue
-            refs.append(
-                _lookup_task.remote(
-                    self.lake_dir, schema_b64, e["file"],
-                    list(e.get("deltas", [])), want, columns,
-                )
-            )
-        parts = ray.get(refs)
+            if e is not None:
+                items.append((e["file"], list(e.get("deltas", [])), want))
+        parts = ray.get(
+            [
+                _lookup_task.remote(self.lake_dir, schema_b64, group, columns)
+                for group in _deal(items)
+            ]
+        )
         if not parts:
             return m.schema.empty_table()
         return pa.concat_tables(parts).sort_by("doc_id")
@@ -1515,17 +1552,17 @@ class CDCLake:
         parts. Final state is identical in both modes (same LWW kernel).
 
         exchange="direct" (default): explicit two-stage map/apply
-        exchange with raw Ray tasks — map tasks read+premerge their
-        files and return one shard object PER PARTITION
-        (``num_returns=P``); apply tasks consume exactly their
-        partition's shards. One object-store write and one read per
-        byte. This is the pattern ray_guide prescribes for explicit
-        partitioned joins; measured 2.5-3x faster than the Dataset
-        hash-shuffle (which adds an aggregator-actor hop = an extra
-        full copy of the stream + per-execution actor spawn).
-        Partitioning assumption: P small enough that P objects per map
-        task is reasonable (≤ ~1024); for larger P, group partitions
-        per shard.
+        exchange with raw Ray tasks — min(files, CPUs) map tasks
+        read+premerge their files and return one shard object per
+        partition group (``num_returns=G``, G = min(P, CPUs)); G apply
+        tasks consume exactly their group's shards and apply each
+        partition locally, so a tick costs no task per partition.
+        One object-store write and one read per byte. This is the
+        pattern ray_guide prescribes for explicit partitioned joins;
+        measured 2.5-3x faster than the Dataset hash-shuffle (which
+        adds an aggregator-actor hop = an extra full copy of the
+        stream + per-execution actor spawn). Lineage ``plan`` records
+        the task counts.
 
         exchange="dataset": the pure Dataset pipeline
         (map_batches → keyed hash repartition → map_batches).
@@ -1579,17 +1616,13 @@ class CDCLake:
         tick_token = hashlib.md5(
             json.dumps([m.version, lo, lsn_hi, mode, sorted(files)]).encode()
         ).hexdigest()[:8]
-        if mode == "delta":
-            stats_rows = self._exchange_direct(
-                files, m, target, next_version, lo, lsn_hi, delta=True,
-                tick_token=tick_token,
-            )
-        elif exchange == "direct":
-            stats_rows = self._exchange_direct(
+        if mode == "delta" or exchange == "direct":
+            stats_rows, plan = self._exchange_direct(
                 files, m, target, next_version, lo, lsn_hi,
-                tick_token=tick_token,
+                delta=mode == "delta", tick_token=tick_token,
             )
-        else:
+        else:  # Ray Data plans the dataset exchange's tasks
+            plan = None
             stats_rows = self._exchange_dataset(
                 files, m, target, next_version, lo, lsn_hi, batch_size,
                 tick_token=tick_token,
@@ -1646,6 +1679,7 @@ class CDCLake:
             "bytes_written": sum(int(r["bytes_written"]) for r in stats_rows),
             "wall_sec": round(wall, 3),
             "files_out": [r.get("file") or r.get("delta_file") for r in stats_rows],
+            "plan": plan,
         }
         m2 = Manifest(
             version=next_version,
@@ -1686,41 +1720,25 @@ class CDCLake:
             self.compact()
             m = self.manifest()
         next_version = m.version + 1
-        lake_dir = self.lake_dir
         schema_b64 = m.schema.serialize().to_pybytes()
-        files = m.data_files(lake_dir)
-
+        files = m.data_files(self.lake_dir)
         P = new_num_partitions
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n_maps = max(1, min(len(files), ncpu))
-        chunks = [files[i::n_maps] for i in range(n_maps)]
-
-        map_refs = [
-            _rescale_map_task.options(num_returns=P).remote(chunk, P)
-            for chunk in chunks
-        ]
-        if P == 1:
-            map_refs = [[r] for r in map_refs]
         tick_token = hashlib.md5(
             json.dumps([m.version, "rescale", P]).encode()
         ).hexdigest()[:8]
-        apply_refs = [
-            _rescale_write_task.remote(
-                lake_dir, schema_b64, next_version, k, tick_token,
-                *[refs[k] for refs in map_refs],
-            )
-            for k in range(P)
-        ]
-        partitions = {}
-        for row in ray.get(apply_refs):
-            if row:
-                partitions[row["partition_id"]] = {
-                    "file": row["file"],
-                    "rows": row["rows"],
-                    "max_lsn": m.applied_through,
-                    "token_hash": row["token_hash"],
-                    "hash_rev": HASH_REV,
-                }
+        stats, plan = self._rewrite_exchange(
+            files, P, schema_b64, next_version, tick_token
+        )
+        partitions = {
+            row["partition_id"]: {
+                "file": row["file"],
+                "rows": row["rows"],
+                "max_lsn": m.applied_through,
+                "token_hash": row["token_hash"],
+                "hash_rev": HASH_REV,
+            }
+            for row in stats
+        }
         m2 = Manifest(
             version=next_version,
             num_partitions=P,
@@ -1735,6 +1753,7 @@ class CDCLake:
                     "from_partitions": m.num_partitions,
                     "to_partitions": P,
                     "rows": sum(p["rows"] for p in partitions.values()),
+                    "plan": plan,
                 },
             ),
         )
@@ -1820,24 +1839,18 @@ class CDCLake:
         self, files, m: Manifest, target: pa.Schema, next_version: int,
         lo: int, lsn_hi: int | None, delta: bool = False,
         tick_token: str | None = None,
-    ) -> list[dict]:
+    ) -> tuple[list[dict], dict]:
         """Explicit map/apply exchange (see ``replay`` docstring).
-        ``delta=True`` swaps the apply side for the delta writer."""
+        ``delta=True`` swaps the apply side for the delta writer.
+        Returns the stats rows and the task plan."""
         P = m.num_partitions
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n_maps = max(1, min(len(files), ncpu))
-        chunks = [files[i::n_maps] for i in range(n_maps)]
+        chunks = _deal(files)
+        G = _fan_out(P)
         base_files = {
             k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
             for k, e in m.partitions.items()
         }
         schema_b64 = target.serialize().to_pybytes()
-
-        # grouped shards: at huge P a map task cannot reasonably return
-        # P objects, so partitions are bundled into ≤ max_shards groups
-        # (one apply task per group; it splits pids locally — same
-        # within-task path as the Dataset exchange's apply_block)
-        G = min(P, int(os.environ.get("NIFI_RAY_MAX_SHARDS", "512")))
         qdir = os.path.join(self.lake_dir, "_quarantine")
         map_refs = [
             _cdc_map_task.options(num_returns=G).remote(chunk, P, lo, lsn_hi, G, qdir)
@@ -1866,11 +1879,8 @@ class CDCLake:
                 )
                 for g in range(G)
             ]
-        stats: list[dict] = []
-        for rows in ray.get(apply_refs):
-            if rows:
-                stats.extend(rows)
-        return stats
+        stats = [row for rows in ray.get(apply_refs) for row in rows]
+        return stats, {"map_tasks": len(chunks), "apply_tasks": G}
 
     # ----------------------------------------------------- verification
     def verify(self, version: int | None = None) -> dict:
@@ -1879,8 +1889,9 @@ class CDCLake:
         executable form of NiFi's site-to-site CRC32 transaction
         confirmation (reference nifi-commons/nifi-site-to-site-client/
         .../remote/AbstractTransaction.java:177-210: sender and receiver
-        agree on a running checksum before COMPLETE). One Ray task per
-        partition; returns {ok, partitions_checked, mismatches}.
+        agree on a running checksum before COMPLETE). The files are dealt
+        into ≤ CPUs Ray tasks; returns {ok, partitions_checked,
+        mismatches}.
 
         Merge-on-read partitions are covered too: the base file checks
         against the entry's (compacted-state) hash and every delta file
@@ -1900,7 +1911,7 @@ class CDCLake:
         m = self.manifest(version)
         if m is None:
             raise FileNotFoundError("lake not initialized")
-        refs, want = [], {}
+        items, want = [], {}
         skipped = 0
         for k, e in m.partitions.items():
             meta = e.get("delta_meta", {})
@@ -1908,14 +1919,14 @@ class CDCLake:
             if any(d not in meta for d in deltas):
                 skipped += 1  # legacy manifest without per-delta records
                 continue
-            refs.append(_verify_task.remote(self.lake_dir, k, e["file"]))
+            items.append((k, e["file"]))
             want[(k, e["file"])] = {
                 "rows": e["rows"],
                 "hash": int(e["token_hash"]),
                 "rev": int(e.get("hash_rev", 1)),
             }
             for d in deltas:
-                refs.append(_verify_task.remote(self.lake_dir, k, d))
+                items.append((k, d))
                 want[(k, d)] = {
                     "rows": meta[d]["rows"],
                     "hash": int(meta[d]["hash"]),
@@ -1924,7 +1935,8 @@ class CDCLake:
         mismatches = []
         checked_parts = set()
         skipped_hash_rev = 0
-        for r in ray.get(refs):
+        refs = [_verify_task.remote(self.lake_dir, group) for group in _deal(items)]
+        for r in (r for rows in ray.get(refs) for r in rows):
             exp = want[(r["partition_id"], r["file"])]
             checked_parts.add(r["partition_id"])
             hash_comparable = exp["rev"] == HASH_REV
@@ -1971,16 +1983,18 @@ class CDCLake:
         tick_token = hashlib.md5(
             json.dumps([m.version, "compact"]).encode()
         ).hexdigest()[:8]
+        groups = _deal(
+            [(k, e.get("file"), list(e["deltas"])) for k, e in todo.items()]
+        )
         refs = [
             _compact_task.remote(
-                self.lake_dir, e.get("file"), list(e["deltas"]),
-                schema_b64, next_version, k, tick_token,
+                self.lake_dir, group, schema_b64, next_version, tick_token
             )
-            for k, e in todo.items()
+            for group in groups
         ]
         partitions = dict(m.partitions)
         bytes_written = 0
-        for r in ray.get(refs):
+        for r in (r for rows in ray.get(refs) for r in rows):
             k = int(r["partition_id"])
             partitions[k] = {
                 "file": r["file"],
@@ -2004,6 +2018,7 @@ class CDCLake:
                     "partitions": sorted(todo),
                     "deltas_folded": sum(len(e["deltas"]) for e in todo.values()),
                     "bytes_written": bytes_written,
+                    "plan": {"map_tasks": 0, "apply_tasks": len(groups)},
                 },
             ),
         )
@@ -2035,7 +2050,8 @@ class CDCLake:
                 m2.applied_through = hi
                 m2.lineage = append_lineage(
                     m2.lineage,
-                    {"kind": "APPLY", "lsn_range": [lo, hi], "events_applied": 0},
+                    {"kind": "APPLY", "lsn_range": [lo, hi], "events_applied": 0,
+                     "plan": {"map_tasks": 0, "apply_tasks": 0}},
                 )
                 commit_manifest(self.lake_dir, m2)
         return out

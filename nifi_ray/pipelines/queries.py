@@ -5722,8 +5722,10 @@ def q_windowed_hll(sf_dir: str, window_sec: int = 86400):
     size_us = window_sec * 1_000_000
 
     def partials(t: pa.Table) -> pa.Table:
-        epoch = pc.cast(t["ts"], pa.int64())
-        wstart = pc.multiply(pc.divide(epoch, size_us), size_us)
+        # floor division, as in the oracle: pc.divide truncates toward
+        # zero and would put a pre-1970 ts in the window after its own
+        epoch = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        wstart = pa.array((epoch // size_us) * size_us)
         tt = t.append_column("w", wstart)
         wins, regs = [], []
         for w in pc.unique(wstart).to_pylist():

@@ -29,6 +29,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+_FILTER_ROWS_PER_CHUNK = 4096
+
+
 def collapse_last_writer(
     table: pa.Table,
     key: str = "doc_id",
@@ -68,14 +71,25 @@ def collapse_last_writer(
     pos = np.argsort(order_vals, kind="stable")
     winner = np.empty(n_uniq, dtype=np.int64)
     winner[codes[pos]] = pos
-    out = table.take(pa.array(winner))
+    # Gather the winners in row order. Table.take concatenates every
+    # chunk first (pyarrow 16), a full payload copy of a map task's
+    # many-file table for ~10% survivors, so large chunks are filtered
+    # chunk by chunk; small ones (delta overlays) take: crossover ~4k
+    # rows per chunk, below it the per-chunk kernel calls cost more.
+    sel = np.sort(winner)
+    if table.num_rows >= _FILTER_ROWS_PER_CHUNK * table[key].num_chunks:
+        keep = np.zeros(table.num_rows, dtype=bool)
+        keep[sel] = True
+        out = table.filter(pa.array(keep))
+    else:
+        out = table.take(pa.array(sel))
     if count_col is not None:
         counts = table[count_col].to_numpy(zero_copy_only=False)
         sums = np.bincount(codes, weights=counts, minlength=n_uniq).astype(np.int64)
-        # `winner` is indexed by dictionary code, so row i of `out` is
-        # the winner of code i and `sums[i]` is its absorbed count
+        # row i of `out` is row sel[i] of the input, the winner of
+        # code codes[sel[i]]; its absorbed count is that code's sum
         out = out.set_column(
-            out.schema.get_field_index(count_col), count_col, pa.array(sums)
+            out.schema.get_field_index(count_col), count_col, pa.array(sums[codes[sel]])
         )
     return out
 

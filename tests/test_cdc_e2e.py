@@ -196,18 +196,19 @@ def test_schema_evolution_widen(ray_session, tmp_path):
     assert got["tokens"].to_pylist() == want["tokens"].to_pylist()
 
 
-def test_grouped_shards_exchange(ray_session, dirs, monkeypatch):
-    """NIFI_RAY_MAX_SHARDS < P: map tasks return grouped shards, each
-    apply task handles several partitions — same final state (the
-    large-P fallback: P=100k must not mean 100k returns per map task)."""
+def test_grouped_shards_exchange(ray_session, dirs):
+    """P=8 on the 4-CPU session: map tasks return grouped shards, each
+    apply task handles several partitions — same final state (P=100k
+    must not mean 100k returns per map task)."""
     base_dir, ev_dir, lake_dir = dirs
-    monkeypatch.setenv("NIFI_RAY_MAX_SHARDS", "3")
     lake = CDCLake(lake_dir)
     lake.init_from(base_dir, num_partitions=8)
     st = lake.replay(ev_dir, lsn_hi=1000)
     assert st is not None and st.events_applied == 1000
     st2 = lake.replay(ev_dir, mode="delta")
     assert st2 is not None
+    for rec in lake.manifest().lineage[-2:]:
+        assert 1 <= rec["plan"]["apply_tasks"] < 8, rec
     oracle = apply_events([events_table(CFG)], state_from_base(base_table(CFG)))
     _assert_lake_equals_oracle(lake, oracle)
 

@@ -115,14 +115,13 @@ def test_verify_checksums(ray_session, tmp_path):
     assert rep4["mismatches"][0]["file"] == entry2["deltas"][0]
 
 
-def test_large_p_grouped_init_and_replay(ray_session, tmp_path, monkeypatch):
-    """P=128 with NIFI_RAY_MAX_SHARDS=16: grouped exchange end-to-end
-    at a partition count far above the shard cap."""
+def test_large_p_grouped_init_and_replay(ray_session, tmp_path):
+    """P=128 on the 4-CPU session: grouped exchange end-to-end at a
+    partition count far above the task count."""
     from nifi_ray.gen import GenConfig, base_table, events_table, write_base, write_events
     from nifi_ray.oracle import apply_events, state_from_base
     from nifi_ray.pipelines.cdc import CDCLake
 
-    monkeypatch.setenv("NIFI_RAY_MAX_SHARDS", "16")
     cfg = GenConfig(seed=78, n_docs=300, n_events=900)
     b, e, l = (str(tmp_path / d) for d in ("b", "e", "l"))
     write_base(cfg, b, shards=2)
@@ -135,6 +134,10 @@ def test_large_p_grouped_init_and_replay(ray_session, tmp_path, monkeypatch):
     got = lake.read_table()
     assert got.num_rows == len(oracle)
     assert lake.verify()["ok"]
+    init, tick = lake.manifest().lineage[-2:]
+    assert len(lake.manifest().partitions) == 128
+    for rec in (init, tick):
+        assert 1 <= rec["plan"]["apply_tasks"] < 128, rec
 
 
 def test_lookup_point_reads(ray_session, tmp_path):

@@ -1,5 +1,6 @@
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from nifi_ray.gen import GenConfig, events_table
 from nifi_ray.stages.lww import collapse_last_writer, merge_into_base
@@ -22,6 +23,33 @@ def test_collapse_matches_naive():
     for r in got.to_pylist():
         assert want[r["doc_id"]]["lsn"] == r["lsn"]
         assert want[r["doc_id"]]["tokens"] == r["tokens"]
+
+
+@pytest.mark.parametrize("n_events", [600, 30000])
+def test_collapse_multi_chunk_counts_align(n_events):
+    """A multi-chunk table (one chunk per event file) gathers the right
+    winner rows, and each row's ev_count is its own key's event count,
+    including when the input already carries counts. 600 events take
+    the small-chunk gather, 30000 the per-chunk filter."""
+    from collections import Counter
+
+    t = events_table(GenConfig(seed=4, n_docs=n_events // 15, n_events=n_events))
+    a, b = n_events * 3 // 20, n_events // 2
+    chunked = pa.concat_tables([t.slice(0, a), t.slice(a, b - a), t.slice(b)])
+    assert chunked["doc_id"].num_chunks == 3
+    got = collapse_last_writer(chunked, count_col="ev_count")
+    want = _naive_collapse(t)
+    n_ev = Counter(t["doc_id"].to_pylist())
+    assert got.num_rows == len(want)
+    for r in got.to_pylist():
+        assert want[r["doc_id"]]["lsn"] == r["lsn"]
+        assert want[r["doc_id"]]["tokens"] == r["tokens"]
+        assert r["ev_count"] == n_ev[r["doc_id"]]
+    third = n_events // 3
+    parts = [collapse_last_writer(chunked.slice(o, third), count_col="ev_count")
+             for o in (0, third, 2 * third)]
+    again = collapse_last_writer(pa.concat_tables(parts), count_col="ev_count")
+    assert again.sort_by("doc_id").equals(got.sort_by("doc_id"))
 
 
 def test_collapse_associative():

@@ -96,3 +96,27 @@ def test_cms_absent_key_bounded():
     counts = cms_counts(pa.array(vals), 4096)
     est = cms_estimate(counts, pa.array(["never-seen"]), 4096)
     assert est[0] <= (np.e / 4096) * 5_000 * 4
+
+
+def test_windowed_hll_floors_pre_1970_windows(ray_session, tmp_path):
+    """A negative epoch falls in the window that starts at or before it
+    (floor division), on the engine side as in the oracle."""
+    import pyarrow.parquet as pq
+
+    from nifi_ray.oracle_expected import expected_windowed_hll
+    from nifi_ray.pipelines.queries import q_windowed_hll
+
+    secs = np.array([-5, -5, -3, -1, 0, 1, 3, 4], np.int64)
+    pq.write_table(
+        pa.table(
+            {
+                "user_id": pa.array(np.arange(len(secs)), pa.int64()),
+                "ts": pa.array(secs * 1_000_000, pa.timestamp("us")),
+            }
+        ),
+        str(tmp_path / "events.parquet"),
+    )
+    got = q_windowed_hll(str(tmp_path), window_sec=2)
+    assert got["window_start"].to_pylist() == [-6, -4, -2, 0, 2, 4]
+    assert got["est_distinct"].to_pylist() == [2, 1, 1, 2, 1, 1]
+    assert got.equals(expected_windowed_hll(str(tmp_path), window_sec=2))
