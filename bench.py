@@ -7,7 +7,8 @@ carries per-pipeline wall seconds for the heavier operators over the
 real $GRAFT_SF_DIR tables.
 
     python bench.py                 # one run at $RAY_GRAFT_CPUS (default 32)
-    python bench.py --scaling       # fresh subprocesses at 8 and 32 CPUs,
+    python bench.py --scaling       # fresh subprocesses at 4 and 16 CPUs
+                                    # (BENCH_LO_CPUS / BENCH_HI_CPUS),
                                     # reports both + scaling efficiency
 
 Bench data generation is parallelized with Ray tasks (chunk-independent
@@ -27,7 +28,7 @@ NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 # flagship scale per sf tag: (n_docs, n_events, partitions).
 # sf0.1 runs 4M events so parallel work dominates the ~2s of fixed
-# per-replay cost (shuffle setup) — the regime the scaling criterion
+# per-replay cost (exchange setup) — the regime the scaling criterion
 # is about.
 SCALES = {
     "sf0.001": (2_000, 10_000, 8),
@@ -84,111 +85,6 @@ def gen_bench_data(cfg, base_dir: str, ev_dir: str, shards: int = 32):
     ray.get(tasks)
     with open(done_marker, "w") as f:
         f.write("ok")
-
-
-def host_calibration() -> dict:
-    """Fixed-cost host probe recorded next to every headline so a
-    degraded host window is machine-detectable from BENCH_rN.json alone
-    (this VM drifts 3-4x over minutes; two rounds of driver numbers
-    have needed judge re-runs to adjudicate). Two numbers:
-
-    - ``memcpy_gbps_1t``: best-of-3 single-thread 256 MB memcpy after a
-      warm pass (pure DRAM bandwidth, no engine code).
-    - ``memcpy_gbps_8t``: 8 threads copying private 64 MB pairs
-      (np.copyto releases the GIL) — the aggregate-bandwidth axis that
-      actually degrades in bad windows (per-CPU throughput collapse at
-      high parallelism while single-thread looks normal).
-
-    - ``spin_mops_8t``: 8 threads each running a fixed GIL-released
-      numpy integer-ALU kernel over an L1-resident array — bandwidth-
-      INsensitive, so it isolates the CPU axis (frequency scaling /
-      hypervisor steal). Added after a run where both memcpy probes
-      read fast-class while absolute engine throughput sat 2x below the
-      recorded fast-window numbers at every parallelism level: that
-      drift class is invisible to a bandwidth probe.
-
-    Classification rule: BASELINE.md records the calibration values
-    measured alongside known-fast and known-degraded engine runs; a
-    run whose 8t figure sits well below the recorded fast-window value
-    is a degraded window and its engine numbers should not be read as
-    regressions. A run whose memcpy reads fast but whose spin figure
-    sits low is the CPU-steal class — equally not a code regression."""
-    import threading
-
-    import numpy as np
-
-    n1 = 256 * 1024 * 1024
-    src = np.ones(n1, np.uint8)
-    dst = np.empty_like(src)
-    np.copyto(dst, src)  # warm: first-touch both buffers
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        np.copyto(dst, src)
-        best = min(best, time.perf_counter() - t0)
-    one_t = n1 / best / 1e9
-
-    nt, nm, reps = 8, 64 * 1024 * 1024, 4
-    pairs = []
-    for _ in range(nt):
-        s = np.ones(nm, np.uint8)
-        d = np.empty_like(s)
-        np.copyto(d, s)  # warm
-        pairs.append((s, d))
-    start = threading.Barrier(nt + 1)
-
-    def work(p):
-        start.wait()
-        for _ in range(reps):
-            np.copyto(p[1], p[0])
-
-    threads = [threading.Thread(target=work, args=(p,)) for p in pairs]
-    for t in threads:
-        t.start()
-    start.wait()
-    t0 = time.perf_counter()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-    multi_t = nt * reps * nm / elapsed / 1e9
-
-    # CPU-axis probe: integer multiply-xor over a 512 KB (L2) array,
-    # fixed iteration count, 8 threads (numpy ufuncs release the GIL).
-    spin_n, spin_reps = 65536, 300
-    bufs = [
-        (np.arange(spin_n, dtype=np.int64), np.empty(spin_n, np.int64))
-        for _ in range(nt)
-    ]
-    start2 = threading.Barrier(nt + 1)
-
-    def spin(b):
-        x, tmp = b  # fully in-place: no allocator / memory-axis noise
-        start2.wait()
-        for _ in range(spin_reps):
-            np.multiply(x, 1103515245, out=x)
-            np.add(x, 12345, out=x)
-            np.right_shift(x, 13, out=tmp)
-            np.bitwise_xor(x, tmp, out=x)
-
-    spin_best = float("inf")
-    for _ in range(3):  # best-of-3: the probe must out-sample the drift
-        start2 = threading.Barrier(nt + 1)
-        threads = [threading.Thread(target=spin, args=(b,)) for b in bufs]
-        for t in threads:
-            t.start()
-        start2.wait()
-        t0 = time.perf_counter()
-        for t in threads:
-            t.join()
-        spin_best = min(spin_best, time.perf_counter() - t0)
-    # 4 ufunc ops per rep per element
-    spin_mops = nt * spin_reps * spin_n * 4 / spin_best / 1e6
-
-    return {
-        "memcpy_gbps_1t": round(one_t, 2),
-        "memcpy_gbps_8t": round(multi_t, 2),
-        "spin_mops_8t": round(spin_mops, 0),
-    }
 
 
 def warm_workers(ncpu: int):
@@ -276,7 +172,6 @@ def run_bench() -> dict:
     steady = bool(os.environ.get("BENCH_STEADY"))
     t_init, t_replay = float("inf"), float("inf")
     timed_events = n_events
-    iter_detail: list[dict] = []
     for it in range(iters):
         lake_dir = f"{work}/lake_{NCPU}_{os.getpid()}_{it}"
         shutil.rmtree(lake_dir, ignore_errors=True)
@@ -292,30 +187,17 @@ def run_bench() -> dict:
             # remaining events, i.e. the sustained replay rate with
             # per-job fixed costs cancelled.
             warm_hi = n_events // 4
-            lake.replay(ev_dir, lsn_hi=warm_hi, batch_size=131072)
+            lake.replay(ev_dir, lsn_hi=warm_hi)
             timed_events = n_events - warm_hi
             t0 = time.perf_counter()
-            st = lake.replay(ev_dir, batch_size=131072)
-            t_it = time.perf_counter() - t0
-            t_replay = min(t_replay, t_it)
+            st = lake.replay(ev_dir)
+            t_replay = min(t_replay, time.perf_counter() - t0)
             assert st is not None and st.events_applied == timed_events, st
         else:
             t0 = time.perf_counter()
-            st = lake.replay(ev_dir, batch_size=131072)
-            t_it = time.perf_counter() - t0
-            t_replay = min(t_replay, t_it)
+            st = lake.replay(ev_dir)
+            t_replay = min(t_replay, time.perf_counter() - t0)
             assert st is not None and st.events_applied == n_events, st
-        # per-ITERATION window stamp: the probe runs immediately after
-        # the timed replay, so every timing carries the calibration of
-        # the window it actually ran in — scaling-mode parity pairing
-        # (compare levels only at like-for-like windows) needs this,
-        # because this host can swap window class BETWEEN iterations
-        _cal = host_calibration()
-        iter_detail.append(
-            {"sec": round(t_it, 3),
-             "cal_8t": _cal["memcpy_gbps_8t"],
-             "spin": _cal["spin_mops_8t"]}
-        )
         shutil.rmtree(lake_dir, ignore_errors=True)
 
     queries: dict[str, float] = {"cdc_init": round(t_init, 3)}
@@ -342,8 +224,6 @@ def run_bench() -> dict:
         "queries": queries,
         "sf": float(sf_tag.replace("sf", "")) if sf_tag.startswith("sf") else sf_tag,
         "num_cpus": NCPU,
-        "host_calibration": host_calibration(),
-        "iters_detail": iter_detail,
     }
     ray.shutdown()
     return out
@@ -387,57 +267,20 @@ def main():
         os.environ.setdefault("BENCH_STEADY", "1")
         # A 4x stream for the ratio: in fast host windows the default
         # 4M-event job finishes in ~2 s at the hi level, so per-tick
-        # fixed costs (session/shuffle setup) pollute the efficiency —
+        # fixed costs (session/exchange setup) pollute the efficiency —
         # measured 0.63 at 4M vs 0.89 at 16M in the same hour. The
         # timed marginal stream must dominate the constants.
         os.environ.setdefault("BENCH_EVENTS", "16000000")
         lo_times, hi_times, lo_eps, hi_eps = [], [], [], []
-        lo_runs, hi_runs = [], []
         for _r in range(rounds):
             hi = run_at(hi_cpus)
             lo = run_at(lo_cpus)
-            hi_runs.append(hi)
-            lo_runs.append(lo)
             hi_times.append(hi["value"])
             lo_times.append(lo["value"])
             hi_eps.append(hi["events_per_sec"])
             lo_eps.append(lo["events_per_sec"])
         t_lo, t_hi = min(lo_times), min(hi_times)
         eff = (t_lo / t_hi) / (hi_cpus / lo_cpus)
-        # Window-parity pairing (mechanical, pre-declared — NOT re-run-
-        # until-lucky; every iteration + its calibration is in the
-        # JSON): min-over-rounds cherry-picks each level's luckiest
-        # window, which both deflates (lo fast / hi slow) and inflates
-        # (lo slow / hi fast) single-run ratios on this drifting host.
-        # Instead pick the (lo, hi) iteration pair whose own window
-        # calibrations are CLOSEST in log-space, and report the ratio
-        # measured at like-for-like host bandwidth.
-        import math
-
-        lo_iters = [d for r in lo_runs for d in r.get("iters_detail", [])]
-        hi_iters = [d for r in hi_runs for d in r.get("iters_detail", [])]
-        parity = None
-        def _gap(a, b):
-            # combined window distance: bandwidth axis + CPU axis (the
-            # spin probe; absent in pre-probe records → bandwidth only)
-            g = abs(math.log(max(a["cal_8t"], 1e-9) / max(b["cal_8t"], 1e-9)))
-            if "spin" in a and "spin" in b:
-                g += abs(math.log(max(a["spin"], 1e-9) / max(b["spin"], 1e-9)))
-            return g
-
-        pairs = [(_gap(a, b), a, b) for a in lo_iters for b in hi_iters]
-        if pairs:
-            gap, a, b = min(pairs, key=lambda p: p[0])
-            parity = {
-                "eff": round((a["sec"] / b["sec"]) / (hi_cpus / lo_cpus), 3),
-                f"sec_{lo_cpus}": a["sec"],
-                f"sec_{hi_cpus}": b["sec"],
-                f"cal_8t_{lo_cpus}": a["cal_8t"],
-                f"cal_8t_{hi_cpus}": b["cal_8t"],
-                f"spin_{lo_cpus}": a.get("spin"),
-                f"spin_{hi_cpus}": b.get("spin"),
-                "cal_gap_x": round(math.exp(gap), 2),
-            }
         print(
             json.dumps(
                 {
@@ -452,15 +295,6 @@ def main():
                     f"all_sec_{hi_cpus}": hi_times,
                     "num_cpus": [lo_cpus, hi_cpus],
                     "sf": lo["sf"],
-                    # per-level calibration from the LAST round: lets a
-                    # reader classify each level's window independently
-                    "host_calibration": {
-                        f"cpus_{lo_cpus}": lo.get("host_calibration"),
-                        f"cpus_{hi_cpus}": hi.get("host_calibration"),
-                    },
-                    "window_parity": parity,
-                    f"iters_{lo_cpus}": lo_iters,
-                    f"iters_{hi_cpus}": hi_iters,
                 }
             )
         )

@@ -348,7 +348,7 @@ def refresh_ann_index(
 
     from .cdc import (
         _diff_snapshots,
-        _merge_partition,
+        _read_partition,
         _suffix_changed_images,
         _version_diff_plan,
     )
@@ -399,23 +399,19 @@ def refresh_ann_index(
 
         schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
 
-        def snap(file, deltas):
-            base = (
-                pq.read_table(os.path.join(lake_dir, file))
-                if file
-                else schema.empty_table()
-            )
-            parts = [pq.read_table(os.path.join(lake_dir, dd)) for dd in deltas]
-            return _merge_partition(base, parts, schema)
-
         outs = []
         for row in batch.to_pylist():
             k = int(row["k"])
             if row.get("suffix_deltas") is not None:
                 old_sub, new_sub = _suffix_changed_images(lake_dir, row, schema)
             else:
-                new_t = snap(row["new_file"], row["new_deltas"])
-                olds = [snap(f, dd) for f, dd in zip(row["old_files"], row["old_deltas"])]
+                new_t = _read_partition(
+                    lake_dir, row["new_file"], row["new_deltas"], schema
+                )
+                olds = [
+                    _read_partition(lake_dir, f, dd, schema)
+                    for f, dd in zip(row["old_files"], row["old_deltas"])
+                ]
                 old_t = (
                     pa.concat_tables(olds, promote_options="permissive")
                     if olds

@@ -10,16 +10,14 @@ Dataflow per tick:
                         drop applied lsns, batch-local LWW collapse
                         (the skew absorber), then stamp partition_id
                         (vectorized CRC32) on the survivors only
-      → ONE all-to-all exchange, two implementations:
-          direct (default): raw-task map/apply — map tasks scatter
-              G = min(P, CPUs) grouped partition shards (num_returns=G),
-              apply tasks consume exactly their group's shards and
-              split the pids locally; one object-store write + read per
-              byte; measured 2.5-3x over the Dataset hash shuffle
-          dataset: map_batches → repartition(P, keys=[partition_id])
-              under HASH shuffle (never a sort — token payloads are
-              not order-carrying) → map_batches(apply)
-      → apply, two modes:
+      → ONE all-to-all exchange, raw Ray tasks: ≤ CPUs map tasks each
+              scatter G = min(P, CPUs) grouped partition shards
+              (num_returns=G); G apply tasks consume exactly their
+              group's shards and split the pids locally; one
+              object-store write + read per byte. Init and rescale run
+              the same exchange with a stamp-only map side and a
+              write-every-pid apply side
+      → apply, two modes (one prologue, ``_collapse_group``):
           cow (default): read base partition, vectorized LWW merge,
               rewrite the partition part file (deterministic name →
               idempotent retries; every part goes through _write_part)
@@ -58,6 +56,7 @@ from ..state.manifest import (
     Manifest,
     append_lineage,
     commit_manifest,
+    delta_file,
     load_manifest,
     part_file,
     publish_part,
@@ -88,29 +87,6 @@ def _limit_arrow_threads(n: int = 1, io: int = 2) -> None:
         _pa.set_cpu_count(n)
     if _pa.io_thread_count() != io:
         _pa.set_io_thread_count(io)
-
-
-def _use_hash_shuffle(ds):
-    """Switch THIS dataset's captured DataContext to hash shuffle.
-
-    The partition apply needs co-location by partition_id, NOT a sort:
-    ``repartition(P, keys=[...])`` under HASH_SHUFFLE moves each row
-    once by hash — measured ~4x faster than the default sort-based
-    groupby shuffle on list-payload rows (sorting token arrays is pure
-    waste; order is re-established per partition locally). The strategy
-    is flipped on the dataset's own context copy (Ray plans against it),
-    leaving the global DataContext — and other pipelines' groupbys —
-    untouched."""
-    from ray.data.context import ShuffleStrategy
-
-    ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    # By default Ray reserves min(1, totalCPU/2/P) CPUs per partition for
-    # the shuffle aggregator actors — at P≈CPU count that's HALF the
-    # cluster parked on buffering actors, starving the map/apply tasks
-    # (measured 3x replay slowdown at 32 CPUs). The aggregators are
-    # I/O-bound concatenators; a nominal reservation is plenty.
-    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    return ds
 
 
 _VALID_OPS = pa.array(["I", "U", "D"])
@@ -200,117 +176,55 @@ def _drop_applied(t: pa.Table, applied_through: int) -> pa.Table:
     return t
 
 
-def _premerge_fn(num_partitions: int, applied_through: int, quarantine_dir: str | None = None):
-    """Stateless map_batches body for the pre-shuffle stage: validate →
-    LSN guard → LWW collapse → partition stamp. The stamp hashes only
-    the collapse survivors; it is a function of doc_id alone, so the
-    rows match stamp-then-collapse (only ``partition_id`` and
-    ``ev_count`` swap column order)."""
-
-    def premerge(batch: pa.Table) -> pa.Table:
-        batch, bad = _validate_events(batch)
-        if bad.num_rows and quarantine_dir:
-            _write_quarantine(quarantine_dir, bad)
-        batch = _drop_applied(batch, applied_through)
-        # drop file-level schema metadata (e.g. pandas dicts): Ray's
-        # hash-shuffle schema-dedup cache can't hash it and warns on
-        # every reduce task, burying real signals in the logs
-        batch = batch.replace_schema_metadata(None)
-        batch = collapse_last_writer(batch, count_col="ev_count")
-        return add_partition_column(batch, num_partitions)
-
-    return premerge
+def _premerge(
+    batch: pa.Table, num_partitions: int, applied_through: int,
+    quarantine_dir: str | None = None,
+) -> pa.Table:
+    """Map side of the replay exchange: validate → LSN guard → LWW
+    collapse → partition stamp. The stamp hashes only the collapse
+    survivors; it is a function of doc_id alone, so the rows match
+    stamp-then-collapse (only ``partition_id`` and ``ev_count`` swap
+    column order)."""
+    batch, bad = _validate_events(batch)
+    if bad.num_rows and quarantine_dir:
+        _write_quarantine(quarantine_dir, bad)
+    batch = _drop_applied(batch, applied_through)
+    # file-level schema metadata (e.g. pandas dicts) carries nothing the
+    # apply side uses
+    batch = batch.replace_schema_metadata(None)
+    batch = collapse_last_writer(batch, count_col="ev_count")
+    return add_partition_column(batch, num_partitions)
 
 
-def _apply_partition_fn(
-    lake_dir: str,
-    base_files: dict[int, dict],
-    target_schema_b64: bytes,
-    next_version: int,
-    applied_through: int,
-    tick_token: str | None = None,
-):
-    """map_groups body: apply one partition's collapsed events.
+def _collapse_group(shards, lo: int, schema: pa.Schema):
+    """Apply-side prologue shared by the COW and delta apply tasks:
+    yields ``(k, events, stats)`` per partition in this group's
+    premerged shards, in pid order.
 
-    Pure function of (inputs, lake files) — retried tasks rewrite the
-    same deterministic output file, so retries are idempotent.
-    """
-    target_schema = pa.ipc.read_schema(pa.BufferReader(target_schema_b64))
-
-    def apply_block(block: pa.Table) -> pa.Table:
-        """A hash-repartitioned block holds ALL rows of one or more
-        partition_ids (each partition entirely in one block). Apply each
-        contained partition independently."""
-        pids = pc.unique(block["partition_id"]).to_pylist()
-        outs = []
-        for pid in sorted(pids):
-            group = block.filter(pc.equal(block["partition_id"], pid))
-            outs.append(apply_partition(group))
-        if not outs:
-            return _STATS_SCHEMA.empty_table()
-        return pa.concat_tables(outs)
-
-    def apply_partition(group: pa.Table) -> pa.Table:
-        k = int(group["partition_id"][0].as_py())
-        if "ev_count" not in group.schema.names:  # direct-apply path
-            group = group.append_column(
-                "ev_count", pa.array(np.ones(group.num_rows, dtype=np.int64))
-            )
-        events_in = int(pc.sum(group["ev_count"]).as_py() or 0)
-        # guard against replayed rows that slipped past the read filter
-        group = _drop_applied(group, applied_through)
-        events_live = int(pc.sum(group["ev_count"]).as_py() or 0)
-        dups_dropped = events_in - events_live
-        # collapse across batches (associative with the batch-local one)
-        group = collapse_last_writer(group, count_col="ev_count")
-        max_lsn = int(pc.max(group["lsn"]).as_py()) if group.num_rows else 0
-
-        entry = base_files.get(k)
-        if entry is not None:
-            base = pq.read_table(os.path.join(lake_dir, entry["file"]))
-            if entry.get("deltas"):
-                # a COW tick on a merge-on-read lake folds the live
-                # delta parts in as part of its base — otherwise the
-                # rewrite would silently revert every doc the deltas
-                # updated to its last-compacted image (data loss)
-                base = _merge_partition(
-                    base,
-                    [
-                        pq.read_table(os.path.join(lake_dir, d))
-                        for d in entry["deltas"]
-                    ],
-                    target_schema,
-                )
-        else:
-            base = target_schema.empty_table()
-        if not base.schema.equals(target_schema):
-            base = conform(base, target_schema)
-
-        ev_payload_names = [n for n in group.schema.names if n != "partition_id"]
-        events = conform(group.select(ev_payload_names), _event_target(target_schema))
-        n_deletes = int(pc.sum(pc.equal(events["op"], "D")).as_py() or 0)
-        merged = merge_into_base(base, events).sort_by("doc_id")
-        merged = conform(merged, target_schema)
-
-        rel = part_file(k, next_version, tick_token)
-        nbytes = _write_part(lake_dir, rel, merged)
-        return pa.table(
-            {
-                "partition_id": pa.array([k], pa.int32()),
-                "file": pa.array([rel]),
-                "rows": pa.array([merged.num_rows], pa.int64()),
-                "max_lsn": pa.array([max_lsn], pa.int64()),
-                "token_hash": pa.array([state_checksum(merged)], pa.uint64()),
-                "events_applied": pa.array([events_live], pa.int64()),
-                "events_in": pa.array([events_in], pa.int64()),
-                "dups_dropped": pa.array([dups_dropped], pa.int64()),
-                "deletes": pa.array([n_deletes], pa.int64()),
-                "bytes_written": pa.array([nbytes], pa.int64()),
-            },
-            schema=_STATS_SCHEMA,
-        )
-
-    return apply_block
+    Per pid, rows keep their shard order; rows at or below the
+    watermark ``lo`` (replays that slipped past the read filter) are
+    dropped and counted as ``dups_dropped``; the rest collapse to one
+    LWW winner per doc (associative with the map-side collapse) and are
+    conformed to the event schema. ``stats`` is the pid's stats row
+    without the write columns."""
+    parts = [s for s in shards if s.num_rows]
+    if not parts:
+        return
+    block = pa.concat_tables(parts, promote_options="permissive")
+    for pid in sorted(pc.unique(block["partition_id"]).to_pylist()):
+        t = block.filter(pc.equal(block["partition_id"], pid))
+        events_in = int(pc.sum(t["ev_count"]).as_py() or 0)
+        t = _drop_applied(t, lo)
+        events_live = int(pc.sum(t["ev_count"]).as_py() or 0)
+        t = collapse_last_writer(t, count_col="ev_count")
+        yield int(pid), conform(t, _event_target(schema)), {
+            "partition_id": int(pid),
+            "max_lsn": int(pc.max(t["lsn"]).as_py()) if t.num_rows else 0,
+            "events_applied": events_live,
+            "events_in": events_in,
+            "dups_dropped": events_in - events_live,
+            "deletes": int(pc.sum(pc.equal(t["op"], "D")).as_py() or 0),
+        }
 
 
 def _lsn_footer(md: pq.FileMetaData, lo: int, lsn_hi: int | None) -> tuple[bool, bool]:
@@ -347,7 +261,7 @@ def _cdc_map_task(
     G: int,
     quarantine_dir: str | None = None,
 ) -> tuple:
-    """Direct-exchange map side: read events, premerge (validate and
+    """Replay map side: read events, premerge (validate and
     quarantine → LSN guard → LWW collapse → partition stamp on the
     survivors), split into G grouped shards returned as separate
     objects. Pure → retryable (quarantine parts are
@@ -378,7 +292,7 @@ def _cdc_map_task(
             quarantine_dir, pa.concat_tables(null_lsn, promote_options="permissive")
         )
     t = pa.concat_tables(tables, promote_options="permissive")
-    t = _premerge_fn(P, lo, quarantine_dir)(t)
+    t = _premerge(t, P, lo, quarantine_dir)
     return _scatter_by_partition(t, P, G)
 
 
@@ -421,9 +335,12 @@ def _scatter_by_partition(t: pa.Table, P: int, G: int):
 
 
 @ray.remote
-def _rescale_map_task(files: list[str], P: int, G: int) -> tuple:
+def _rescale_map_task(inputs: list, P: int, G: int) -> tuple:
+    """Init and rescale map side: read whole-row inputs (parquet paths,
+    or object refs of Arrow tables), stamp partition ids and scatter
+    into G grouped shards."""
     _limit_arrow_threads()
-    tables = [pq.read_table(f) for f in files]
+    tables = [pq.read_table(f) if isinstance(f, str) else ray.get(f) for f in inputs]
     t = pa.concat_tables(tables, promote_options="permissive").combine_chunks()
     t = add_partition_column(t, P)
     return _scatter_by_partition(t, P, G)
@@ -465,17 +382,40 @@ def _cdc_apply_task(
     tick_token: str | None,
     *shards: pa.Table,
 ) -> list[dict]:
-    """Direct-exchange apply side: merge this partition's shards into its
-    base file, write the COW part (deterministic name → idempotent)."""
+    """COW apply side of the exchange: merge each of this group's
+    partitions' events into its base and rewrite its part, even when
+    the guard dropped every row. A COW tick on a merge-on-read lake
+    folds the live delta parts into the base; otherwise the rewrite
+    would revert every doc they updated to its last-compacted image.
+    Deterministic names → idempotent retries."""
     _limit_arrow_threads()
-    parts = [s for s in shards if s.num_rows]
-    if not parts:
-        return []
-    t = pa.concat_tables(parts, promote_options="permissive")
-    apply_block = _apply_partition_fn(
-        lake_dir, base_files, schema_b64, next_version, lo, tick_token
+    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
+    out = []
+    for k, events, stats in _collapse_group(shards, lo, schema):
+        e = base_files.get(k, {})
+        base = _read_partition(lake_dir, e.get("file"), e.get("deltas", []), schema)
+        merged = conform(merge_into_base(base, events).sort_by("doc_id"), schema)
+        rel = part_file(k, next_version, tick_token)
+        nbytes = _write_part(lake_dir, rel, merged)
+        out.append({**stats, **_part_stats(k, rel, merged, bytes_written=nbytes)})
+    return out
+
+
+def _read_partition(
+    lake_dir: str, file: str | None, deltas: list[str], schema: pa.Schema,
+    filters: list | None = None,
+) -> pa.Table:
+    """One partition's state: its base part (none: empty) overlaid with
+    its delta parts. ``filters`` is pushed into every read, so it must
+    be a key filter (``doc_id IN``): a row predicate would drop the
+    delta image that overrides a base row and resurrect the base row."""
+    base = (
+        pq.read_table(os.path.join(lake_dir, file), filters=filters)
+        if file
+        else schema.empty_table()
     )
-    return apply_block(t).to_pylist()
+    parts = [pq.read_table(os.path.join(lake_dir, d), filters=filters) for d in deltas]
+    return _merge_partition(base, parts, schema)
 
 
 def _merge_partition(
@@ -545,56 +485,27 @@ def _cdc_delta_task(
     tick_token: str | None,
     *shards: pa.Table,
 ) -> list[dict]:
-    """Delta-mode apply side: write ONLY the collapsed events (incl. D
-    tombstones) as a per-tick delta part per contained partition —
-    O(delta) bytes instead of a full-partition COW rewrite. Handles
-    grouped shards (several pids per task); deterministic names →
-    idempotent retry."""
-    from ..state.manifest import delta_file as _delta_file
-
+    """Delta-mode apply side: write each of this group's partitions'
+    collapsed events (incl. D tombstones) as a per-tick delta part —
+    O(delta) bytes instead of a COW rewrite. A partition with no rows
+    left after the guard writes nothing. Deterministic names →
+    idempotent retries."""
     _limit_arrow_threads()
-    parts = [s for s in shards if s.num_rows]
-    if not parts:
-        return []
-    block = pa.concat_tables(parts, promote_options="permissive")
-    if "ev_count" not in block.schema.names:
-        block = block.append_column(
-            "ev_count", pa.array(np.ones(block.num_rows, dtype=np.int64))
-        )
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-    out_rows: list[dict] = []
-    for pid in sorted(pc.unique(block["partition_id"]).to_pylist()):
-        k = int(pid)
-        t = block.filter(pc.equal(block["partition_id"], pid))
-        events_in = int(pc.sum(t["ev_count"]).as_py() or 0)
-        t = _drop_applied(t, lo)
-        events_live = int(pc.sum(t["ev_count"]).as_py() or 0)
-        t = collapse_last_writer(t, count_col="ev_count")
-        if t.num_rows == 0:
+    out = []
+    for k, events, stats in _collapse_group(shards, lo, schema):
+        if not events.num_rows:
             continue
-        max_lsn = int(pc.max(t["lsn"]).as_py())
-        n_deletes = int(pc.sum(pc.equal(t["op"], "D")).as_py() or 0)
-        payload = t.drop_columns(
-            [c for c in ("partition_id", "ev_count") if c in t.schema.names]
-        )
-        payload = conform(payload, _event_target(schema))
-        rel = _delta_file(k, next_version, tick_token)
-        nbytes = _write_part(lake_dir, rel, payload)
-        out_rows.append(
-            {
-                "partition_id": k,
-                "delta_file": rel,
-                "delta_rows": payload.num_rows,
-                "delta_hash": int(state_checksum(payload)),
-                "max_lsn": max_lsn,
-                "events_applied": events_live,
-                "events_in": events_in,
-                "dups_dropped": events_in - events_live,
-                "deletes": n_deletes,
-                "bytes_written": nbytes,
-            }
-        )
-    return out_rows
+        rel = delta_file(k, next_version, tick_token)
+        nbytes = _write_part(lake_dir, rel, events)
+        out.append({
+            **stats,
+            "delta_file": rel,
+            "delta_rows": events.num_rows,
+            "delta_hash": int(state_checksum(events)),
+            "bytes_written": nbytes,
+        })
+    return out
 
 
 @ray.remote
@@ -611,13 +522,7 @@ def _compact_task(
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     out = []
     for k, base_rel, delta_rels in items:
-        base = (
-            pq.read_table(os.path.join(lake_dir, base_rel))
-            if base_rel
-            else schema.empty_table()
-        )
-        deltas = [pq.read_table(os.path.join(lake_dir, d)) for d in delta_rels]
-        merged = _merge_partition(base, deltas, schema)
+        merged = _read_partition(lake_dir, base_rel, delta_rels, schema)
         rel = part_file(k, next_version, tick_token)
         nbytes = _write_part(lake_dir, rel, merged)
         out.append(_part_stats(k, rel, merged, bytes_written=nbytes))
@@ -636,10 +541,7 @@ def _lookup_task(
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     out = []
     for file, deltas, want in items:
-        flt = [("doc_id", "in", want)]
-        base = pq.read_table(os.path.join(lake_dir, file), filters=flt)
-        ds_ = [pq.read_table(os.path.join(lake_dir, d), filters=flt) for d in deltas]
-        t = _merge_partition(base, ds_, schema)
+        t = _read_partition(lake_dir, file, deltas, schema, [("doc_id", "in", want)])
         out.append(t.select(want_cols) if want_cols else t)
     return pa.concat_tables(out)
 
@@ -653,22 +555,6 @@ def _verify_task(lake_dir: str, items: list[tuple]) -> list[dict]:
         _part_stats(k, rel, pq.read_table(os.path.join(lake_dir, rel)))
         for k, rel in items
     ]
-
-
-_STATS_SCHEMA = pa.schema(
-    [
-        pa.field("partition_id", pa.int32()),
-        pa.field("file", pa.string()),
-        pa.field("rows", pa.int64()),
-        pa.field("max_lsn", pa.int64()),
-        pa.field("token_hash", pa.uint64()),
-        pa.field("events_applied", pa.int64()),
-        pa.field("events_in", pa.int64()),
-        pa.field("dups_dropped", pa.int64()),
-        pa.field("deletes", pa.int64()),
-        pa.field("bytes_written", pa.int64()),
-    ]
-)
 
 
 def _event_target(target_schema: pa.Schema) -> pa.Schema:
@@ -777,18 +663,13 @@ def _suffix_changed_images(
     ev = pa.concat_tables(suffix, promote_options="permissive")
     ev = collapse_last_writer(ev)
     ids = ev["doc_id"].combine_chunks()
-    want = ids.to_pylist()
-    flt = [("doc_id", "in", want)]
-    base = (
-        pq.read_table(os.path.join(lake_dir, row["old_files"][0]), filters=flt)
-        if row["old_files"]
-        else schema.empty_table()
+    old_sub = _read_partition(
+        lake_dir,
+        row["old_files"][0] if row["old_files"] else None,
+        row["old_deltas"][0] if row["old_deltas"] else [],
+        schema,
+        [("doc_id", "in", ids.to_pylist())],
     )
-    old_deltas = row["old_deltas"][0] if row["old_deltas"] else []
-    parts = [
-        pq.read_table(os.path.join(lake_dir, d), filters=flt) for d in old_deltas
-    ]
-    old_sub = _merge_partition(base, parts, schema)
     live = ev.filter(pc.not_equal(ev["op"], "D"))
     new_sub = conform(live, schema)
     return old_sub, new_sub
@@ -806,15 +687,12 @@ class CDCLake:
         base: pa.Table | str | list[str] | "ray.data.Dataset",
         num_partitions: int = 16,
     ) -> Manifest:
-        """Bootstrap the lake (manifest v1) from a base table.
-
-        Distributed: parquet-file inputs use the direct two-stage
-        exchange (same shape as replay/rescale — one object-store write
-        and read per byte, no aggregator-actor hop); Table/Dataset
-        inputs go through the Dataset hash shuffle.
-        """
-        import ray.data as rd
-
+        """Bootstrap the lake (manifest v1) from a base table: parquet
+        files (a path or list of paths), a ``pa.Table`` or a
+        ``ray.data.Dataset``. Every kind runs the init/rescale exchange
+        (``_rewrite_exchange``); a Table or Dataset feeds it as object
+        refs of its Arrow blocks. Every partition gets a part, empty
+        ones included."""
         if self.manifest() is not None:
             raise ValueError(
                 f"lake already initialized at {self.lake_dir}; use replay() "
@@ -823,65 +701,24 @@ class CDCLake:
         if isinstance(base, (str, list)):
             from ..sources.binlog import list_event_files
 
-            return self._init_direct(list_event_files(base), num_partitions)
-        if isinstance(base, pa.Table):
-            ds = rd.from_arrow(base)
-        else:
-            ds = base
-
-        schema = pa.schema(
-            [f for f in ds.schema().base_schema if f.name not in ("lsn", "op")]
+            inputs = list_event_files(base)
+            schemas = [pq.read_schema(f) for f in inputs]
+        elif isinstance(base, pa.Table):
+            inputs, schemas = [ray.put(base)], [base.schema]
+        else:  # ray.data.Dataset
+            ds = base.materialize()
+            inputs, schemas = ds.to_arrow_refs(), [ds.schema().base_schema]
+        target = None
+        for s in schemas:
+            s = pa.schema([f for f in s if f.name not in ("lsn", "op")])
+            target = s if target is None else unify(target, s)
+        if target is None:
+            raise FileNotFoundError("no base files to initialize from")
+        target = target.remove_metadata()
+        os.makedirs(self.lake_dir, exist_ok=True)
+        stats, plan = self._rewrite_exchange(
+            inputs, num_partitions, target.serialize().to_pybytes(), 1, None
         )
-        schema_b64 = schema.serialize().to_pybytes()
-        lake_dir = self.lake_dir
-        os.makedirs(lake_dir, exist_ok=True)
-
-        def write_partition(group: pa.Table, k: int) -> dict:
-            tbl = group.drop_columns(["partition_id"]).sort_by("doc_id")
-            tbl = conform(tbl, pa.ipc.read_schema(pa.BufferReader(schema_b64)))
-            rel = part_file(k, 1)
-            _write_part(lake_dir, rel, tbl)
-            return _part_stats(k, rel, tbl)
-
-        def write_block(block: pa.Table) -> pa.Table:
-            rows = [
-                write_partition(
-                    block.filter(pc.equal(block["partition_id"], pid)), int(pid)
-                )
-                for pid in sorted(pc.unique(block["partition_id"]).to_pylist())
-            ]
-            return pa.Table.from_pylist(
-                rows,
-                schema=pa.schema(
-                    [
-                        pa.field("partition_id", pa.int32()),
-                        pa.field("file", pa.string()),
-                        pa.field("rows", pa.int64()),
-                        pa.field("token_hash", pa.uint64()),
-                    ]
-                ),
-            )
-
-        from ..util.io import drop_schemaless_empties
-
-        stats = (
-            drop_schemaless_empties(
-                _use_hash_shuffle(ds)
-                .map_batches(
-                    lambda b: add_partition_column(b, num_partitions),
-                    batch_format="pyarrow",
-                )
-                .repartition(num_partitions, keys=["partition_id"])
-            )
-            .map_batches(write_block, batch_format="pyarrow", batch_size=None)
-            .take_all()
-        )
-
-        return self._commit_init(num_partitions, schema, stats)
-
-    def _commit_init(
-        self, num_partitions: int, schema: pa.Schema, stats, plan: dict | None = None
-    ) -> Manifest:
         partitions = {
             int(r["partition_id"]): {
                 "file": r["file"],
@@ -896,7 +733,7 @@ class CDCLake:
             version=1,
             num_partitions=num_partitions,
             schema_version=1,
-            schema=schema,
+            schema=target,
             applied_through=0,
             partitions=partitions,
             lineage=[
@@ -911,33 +748,16 @@ class CDCLake:
         commit_manifest(self.lake_dir, m)
         return m
 
-    def _init_direct(self, files: list[str], num_partitions: int) -> Manifest:
-        """Bootstrap from parquet files via the direct exchange
-        (``_rewrite_exchange``)."""
-        target = None
-        for f in files:
-            s = pa.schema(
-                [fld for fld in pq.read_schema(f) if fld.name not in ("lsn", "op")]
-            )
-            target = s if target is None else unify(target, s)
-        if target is None:
-            raise FileNotFoundError("no base files to initialize from")
-        target = target.remove_metadata()
-        schema_b64 = target.serialize().to_pybytes()
-        os.makedirs(self.lake_dir, exist_ok=True)
-
-        stats, plan = self._rewrite_exchange(files, num_partitions, schema_b64, 1, None)
-        return self._commit_init(num_partitions, target, stats, plan)
-
     def _rewrite_exchange(
-        self, files: list[str], P: int, schema_b64: bytes, version: int,
+        self, inputs: list, P: int, schema_b64: bytes, version: int,
         tick_token: str | None,
     ) -> tuple[list[dict], dict]:
         """Init and rescale exchange: map tasks read + stamp + scatter
-        whole-row files into G grouped shards, and one write task per
-        group writes a part for every pid in its range. Returns the
-        per-partition stats rows and the task plan."""
-        chunks = _deal(files)
+        whole-row inputs (parquet paths or Arrow table refs) into G
+        grouped shards, and one write task per group writes a part for
+        every pid in its range. Returns the per-partition stats rows and
+        the task plan."""
+        chunks = _deal(inputs)
         G = _fan_out(P)
         map_refs = [
             _rescale_map_task.options(num_returns=G).remote(chunk, P, G)
@@ -1121,12 +941,9 @@ class CDCLake:
                     md = pq.read_metadata(outp).metadata or {}
                     fresh = md.get(_EH_KEY, b"").decode() == eh
                 if not fresh:
-                    base = pq.read_table(os.path.join(lake_dir, row["file"]))
-                    deltas = [
-                        pq.read_table(os.path.join(lake_dir, d))
-                        for d in row["deltas"]
-                    ]
-                    packed = pack(_merge_partition(base, deltas, schema))
+                    packed = pack(
+                        _read_partition(lake_dir, row["file"], row["deltas"], schema)
+                    )
                     packed = packed.add_column(
                         0, "shard", pa.array([k] * packed.num_rows, pa.int32())
                     )
@@ -1204,7 +1021,7 @@ class CDCLake:
         schema_b64 = m.schema.serialize().to_pybytes()
         items = []
         for p, want in sorted(by_part.items()):
-            e = m.partitions.get(str(p)) or m.partitions.get(p)
+            e = m.partitions.get(p)
             if e is not None:
                 items.append((e["file"], list(e.get("deltas", [])), want))
         parts = ray.get(
@@ -1290,12 +1107,9 @@ class CDCLake:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
         tables = []
         for k, e in sorted(m.partitions.items()):
-            base = pq.read_table(os.path.join(self.lake_dir, e["file"]))
-            deltas = [
-                pq.read_table(os.path.join(self.lake_dir, d))
-                for d in e.get("deltas", [])
-            ]
-            tables.append(_merge_partition(base, deltas, m.schema))
+            tables.append(
+                _read_partition(self.lake_dir, e["file"], e.get("deltas", []), m.schema)
+            )
         if not tables:
             return m.schema.empty_table()
         return pa.concat_tables(tables).sort_by("doc_id")
@@ -1354,16 +1168,6 @@ class CDCLake:
 
         def diff_items(batch: pa.Table) -> pa.Table:
             tgt = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-
-            def snap(file: str | None, deltas: list[str]) -> pa.Table:
-                base = (
-                    pq.read_table(os.path.join(lake_dir, file))
-                    if file
-                    else tgt.empty_table()
-                )
-                parts = [pq.read_table(os.path.join(lake_dir, d)) for d in deltas]
-                return _merge_partition(base, parts, tgt)
-
             outs = []
             for row in batch.to_pylist():
                 k = int(row["k"])
@@ -1375,9 +1179,12 @@ class CDCLake:
                     # writes by image comparison
                     old_t, new_t = _suffix_changed_images(lake_dir, row, tgt)
                 else:
-                    new_t = snap(row["new_file"], row["new_deltas"])
+                    new_t = _read_partition(
+                        lake_dir, row["new_file"], row["new_deltas"], tgt
+                    )
                     olds = [
-                        snap(f, d) for f, d in zip(row["old_files"], row["old_deltas"])
+                        _read_partition(lake_dir, f, d, tgt)
+                        for f, d in zip(row["old_files"], row["old_deltas"])
                     ]
                     old_t = (
                         pa.concat_tables(olds, promote_options="permissive")
@@ -1480,8 +1287,6 @@ class CDCLake:
         self,
         event_paths: str | list[str],
         lsn_hi: int | None = None,
-        batch_size: int = 65536,
-        exchange: str = "direct",
         mode: str = "cow",
         from_lsn: int | None = None,
         max_conflict_retries: int = 3,
@@ -1512,9 +1317,7 @@ class CDCLake:
         last: Exception | None = None
         for _ in range(max_conflict_retries + 1):
             try:
-                return self._replay_once(
-                    event_paths, lsn_hi, batch_size, exchange, mode, from_lsn
-                )
+                return self._replay_once(event_paths, lsn_hi, mode, from_lsn)
             except Exception as e:
                 if not is_conflict(e):
                     raise
@@ -1525,8 +1328,6 @@ class CDCLake:
         self,
         event_paths: str | list[str],
         lsn_hi: int | None = None,
-        batch_size: int = 65536,
-        exchange: str = "direct",
         mode: str = "cow",
         from_lsn: int | None = None,
     ) -> TickStats | None:
@@ -1551,21 +1352,14 @@ class CDCLake:
         (merge-on-read) and ``compact()`` folds them back into base
         parts. Final state is identical in both modes (same LWW kernel).
 
-        exchange="direct" (default): explicit two-stage map/apply
-        exchange with raw Ray tasks — min(files, CPUs) map tasks
-        read+premerge their files and return one shard object per
-        partition group (``num_returns=G``, G = min(P, CPUs)); G apply
-        tasks consume exactly their group's shards and apply each
-        partition locally, so a tick costs no task per partition.
-        One object-store write and one read per byte. This is the
-        pattern ray_guide prescribes for explicit partitioned joins;
-        measured 2.5-3x faster than the Dataset hash-shuffle (which
-        adds an aggregator-actor hop = an extra full copy of the
-        stream + per-execution actor spawn). Lineage ``plan`` records
-        the task counts.
-
-        exchange="dataset": the pure Dataset pipeline
-        (map_batches → keyed hash repartition → map_batches).
+        The exchange is two stages of raw Ray tasks: min(files, CPUs)
+        map tasks read+premerge their files and return one shard object
+        per partition group (``num_returns=G``, G = min(P, CPUs)); G
+        apply tasks consume exactly their group's shards and apply each
+        partition locally, so a tick costs no task per partition. One
+        object-store write and one read per byte, with no aggregator
+        actor between the stages. Lineage ``plan`` records the task
+        counts.
         """
         import time as _time
 
@@ -1584,7 +1378,7 @@ class CDCLake:
         if not files:
             return None
 
-        # Schema evolution check happens BEFORE the shuffle: unify the
+        # Schema evolution check happens BEFORE the exchange: unify the
         # lake schema with every kept file's FOOTER schema (metadata
         # only — handles mid-stream evolution), bump on change.
         ev_fields = [
@@ -1616,17 +1410,10 @@ class CDCLake:
         tick_token = hashlib.md5(
             json.dumps([m.version, lo, lsn_hi, mode, sorted(files)]).encode()
         ).hexdigest()[:8]
-        if mode == "delta" or exchange == "direct":
-            stats_rows, plan = self._exchange_direct(
-                files, m, target, next_version, lo, lsn_hi,
-                delta=mode == "delta", tick_token=tick_token,
-            )
-        else:  # Ray Data plans the dataset exchange's tasks
-            plan = None
-            stats_rows = self._exchange_dataset(
-                files, m, target, next_version, lo, lsn_hi, batch_size,
-                tick_token=tick_token,
-            )
+        stats_rows, plan = self._exchange_direct(
+            files, m, target, next_version, lo, lsn_hi,
+            delta=mode == "delta", tick_token=tick_token,
+        )
 
         if not stats_rows:
             return None
@@ -1797,44 +1584,6 @@ class CDCLake:
         return m2
 
     # ------------------------------------------------------- exchanges
-    def _exchange_dataset(
-        self, files, m: Manifest, target: pa.Schema, next_version: int,
-        lo: int, lsn_hi: int | None, batch_size: int,
-        tick_token: str | None = None,
-    ) -> list[dict]:
-        import ray.data as rd
-
-        pred = pc.field("lsn") > pa.scalar(lo, pa.int64())
-        if lsn_hi is not None:
-            pred = pred & (pc.field("lsn") <= pa.scalar(lsn_hi, pa.int64()))
-        ds = rd.read_parquet(files, filter=pred)
-        base_files = {
-            k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
-            for k, e in m.partitions.items()
-        }
-        return (
-            _use_hash_shuffle(ds)
-            .map_batches(
-                _premerge_fn(m.num_partitions, lo, os.path.join(self.lake_dir, "_quarantine")),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
-            .repartition(m.num_partitions, keys=["partition_id"])
-            .map_batches(
-                _apply_partition_fn(
-                    self.lake_dir,
-                    base_files,
-                    target.serialize().to_pybytes(),
-                    next_version,
-                    lo,
-                    tick_token,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            .take_all()
-        )
-
     def _exchange_direct(
         self, files, m: Manifest, target: pa.Schema, next_version: int,
         lo: int, lsn_hi: int | None, delta: bool = False,

@@ -307,7 +307,7 @@ def refresh_dedup_index(
 
     from .cdc import (
         _diff_snapshots,
-        _merge_partition,
+        _read_partition,
         _suffix_changed_images,
         _version_diff_plan,
     )
@@ -365,15 +365,6 @@ def refresh_dedup_index(
 
         schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
 
-        def snap(file, deltas):
-            base = (
-                pq.read_table(os.path.join(lake_dir, file))
-                if file
-                else schema.empty_table()
-            )
-            parts = [pq.read_table(os.path.join(lake_dir, dd)) for dd in deltas]
-            return _merge_partition(base, parts, schema)
-
         outs = []
         for row in batch.to_pylist():
             k = int(row["k"])
@@ -383,9 +374,12 @@ def refresh_dedup_index(
                 # snapshots when the span was pure merge-on-read ticks
                 old_sub, new_sub = _suffix_changed_images(lake_dir, row, schema)
             else:
-                new_t = snap(row["new_file"], row["new_deltas"])
+                new_t = _read_partition(
+                    lake_dir, row["new_file"], row["new_deltas"], schema
+                )
                 olds = [
-                    snap(f, dd) for f, dd in zip(row["old_files"], row["old_deltas"])
+                    _read_partition(lake_dir, f, dd, schema)
+                    for f, dd in zip(row["old_files"], row["old_deltas"])
                 ]
                 old_t = (
                     pa.concat_tables(olds, promote_options="permissive")

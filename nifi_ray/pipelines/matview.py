@@ -270,7 +270,7 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
     the tiny grouped delta into the previous snapshot, publish. Falls
     back to one full recompute when the previous reflected version has
     been expired from the manifest chain."""
-    from .cdc import _merge_partition, _suffix_changed_images, _version_diff_plan
+    from .cdc import _read_partition, _suffix_changed_images, _version_diff_plan
 
     m_new = lake.manifest()
     if m_new is None:
@@ -315,15 +315,6 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
         schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
         tgt = pa.ipc.read_schema(pa.BufferReader(target_b64))
 
-        def snap(file: str | None, deltas: list[str]) -> pa.Table:
-            base = (
-                pq.read_table(os.path.join(lake_dir, file))
-                if file
-                else schema.empty_table()
-            )
-            parts = [pq.read_table(os.path.join(lake_dir, d)) for d in deltas]
-            return _merge_partition(base, parts, schema)
-
         outs = []
         for row in batch.to_pylist():
             k = int(row["k"])
@@ -334,8 +325,13 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
                 # in agg(new)−agg(old) anyway, so skip reading them
                 old_t, new_t = _suffix_changed_images(lake_dir, row, schema)
             else:
-                new_t = snap(row["new_file"], row["new_deltas"])
-                olds = [snap(f, d) for f, d in zip(row["old_files"], row["old_deltas"])]
+                new_t = _read_partition(
+                    lake_dir, row["new_file"], row["new_deltas"], schema
+                )
+                olds = [
+                    _read_partition(lake_dir, f, d, schema)
+                    for f, d in zip(row["old_files"], row["old_deltas"])
+                ]
                 old_t = (
                     pa.concat_tables(olds, promote_options="permissive")
                     if olds

@@ -31,7 +31,6 @@ def main(argv=None):
     p.add_argument("--tick", type=int, default=0, help="LSN range per commit (0 = one tick)")
     p.add_argument("--lsn-end", type=int, default=0, help="stop after this LSN (0 = log head)")
     p.add_argument("--num-cpus", type=int, default=0, help="only used when initializing Ray here")
-    p.add_argument("--exchange", choices=["direct", "dataset"], default="direct")
     p.add_argument("--mode", choices=["cow", "delta"], default="cow",
                    help="delta = merge-on-read apply (O(delta) bytes/tick)")
     p.add_argument("--compact-after", type=int, default=0,
@@ -85,9 +84,7 @@ def main(argv=None):
             args.events, tick_size=args.tick, lsn_end=lsn_end, mode=args.mode
         )
     else:
-        st = lake.replay(
-            args.events, lsn_hi=lsn_end or None, exchange=args.exchange, mode=args.mode
-        )
+        st = lake.replay(args.events, lsn_hi=lsn_end or None, mode=args.mode)
         stats = [st] if st else []
     for st in stats:
         print(json.dumps({"event": "TICK", **st.__dict__}))

@@ -166,14 +166,6 @@ class Manifest:
     def has_deltas(self) -> bool:
         return any(e.get("deltas") for e in self.partitions.values())
 
-    def partition_files(self, lake_dir: str, k: int) -> tuple[str, list[str]]:
-        """(base file, delta files oldest→newest) for one partition."""
-        e = self.partitions[k]
-        return (
-            os.path.join(lake_dir, e["file"]),
-            [os.path.join(lake_dir, d) for d in e.get("deltas", [])],
-        )
-
 
 def partition_dir(k: int) -> str:
     return f"p={k:05d}"

@@ -61,18 +61,6 @@ def test_single_pass_replay(ray_session, dirs):
     assert m.lineage[-1]["events_applied"] == st.events_applied
 
 
-def test_dataset_exchange_matches(ray_session, dirs):
-    """The pure-Dataset hash-shuffle exchange stays semantics-identical
-    to the default direct exchange."""
-    base_dir, ev_dir, lake_dir = dirs
-    lake = CDCLake(lake_dir)
-    lake.init_from(base_dir, num_partitions=8)
-    st = lake.replay(ev_dir, exchange="dataset")
-    assert st.events_applied == CFG.n_events
-    oracle = apply_events([events_table(CFG)], state_from_base(base_table(CFG)))
-    _assert_lake_equals_oracle(lake, oracle)
-
-
 def test_ticked_replay_matches_single_pass(ray_session, dirs):
     base_dir, ev_dir, lake_dir = dirs
     lake = CDCLake(lake_dir)

@@ -8,6 +8,8 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
+import ray.data as rd
 
 from nifi_ray.gen import GenConfig, base_table, write_base, write_events
 from nifi_ray.pipelines.cdc import CDCLake
@@ -54,17 +56,21 @@ def test_lineage_records_plan(ray_session, tmp_path):
     assert lake2.manifest().lineage[-1]["plan"] == {"map_tasks": 0, "apply_tasks": 4}
 
 
-def test_init_tiny_base_writes_every_partition(ray_session, tmp_path):
-    """3 docs into P=8 over 4 write tasks: all 8 partitions commit,
-    empty ones with an empty part, and each doc sits in the partition
-    its id hashes to."""
+@pytest.mark.parametrize("kind", ["dir", "table", "dataset"])
+def test_init_tiny_base_writes_every_partition(ray_session, tmp_path, kind):
+    """3 docs into P=8 over 4 write tasks, from a parquet dir, a Table
+    or a Dataset: all 8 partitions commit, empty ones with an empty
+    part, each doc sits in the partition its id hashes to, and the INIT
+    record carries the task plan."""
     cfg = GenConfig(seed=5, n_docs=3, n_events=10)
     b, l = str(tmp_path / "b"), str(tmp_path / "l")
     write_base(cfg, b, shards=1)
+    t = base_table(cfg)
+    base = {"dir": b, "table": t, "dataset": rd.from_arrow(t)}
     lake = CDCLake(l)
-    m = lake.init_from(b, num_partitions=P)
+    m = lake.init_from(base[kind], num_partitions=P)
     assert sorted(int(k) for k in m.partitions) == list(range(P))
-    assert m.lineage[-1]["plan"]["apply_tasks"] == 4
+    assert m.lineage[-1]["plan"] == {"map_tasks": 1, "apply_tasks": 4}
     n = 0
     for k, entry in m.partitions.items():
         t = pq.read_table(os.path.join(l, entry["file"]))

@@ -25,10 +25,10 @@ from nifi_ray.gen import GenConfig, base_table, events_table, write_base, write_
 from nifi_ray.oracle import apply_events, state_from_base, state_to_table
 from nifi_ray.pipelines.cdc import (
     CDCLake,
-    _apply_partition_fn,
+    _cdc_apply_task,
     _cdc_map_task,
     _lsn_footer,
-    _premerge_fn,
+    _premerge,
     _validate_events,
 )
 from nifi_ray.schema import BASE_SCHEMA, EVENT_SCHEMA
@@ -146,16 +146,15 @@ def test_apply_guard_drops_and_counts_rows_at_or_below_watermark(tmp_path):
     group = add_partition_column(
         collapse_last_writer(group, count_col="ev_count"), 1
     )
-    apply = _apply_partition_fn(str(tmp_path), {}, schema_b64, 2, 5, "t")
-    row = apply(group).to_pylist()[0]
+    apply = _cdc_apply_task._function
+    row = apply(str(tmp_path), {}, schema_b64, 2, 5, "t", group)[0]
     assert row["events_in"] == 4
     assert row["dups_dropped"] == 2
     assert row["events_applied"] == 2
     part = pq.read_table(os.path.join(str(tmp_path), row["file"]))
     assert sorted(part["doc_id"].to_pylist()) == ["new1", "new2"]
     # nothing at or below: the guard is skipped and nothing is dropped
-    apply = _apply_partition_fn(str(tmp_path), {}, schema_b64, 3, 3, "u")
-    row = apply(group).to_pylist()[0]
+    row = apply(str(tmp_path), {}, schema_b64, 3, 3, "u", group)[0]
     assert row["dups_dropped"] == 0 and row["rows"] == 4
 
 
@@ -191,7 +190,7 @@ def test_premerge_matches_stamp_then_collapse(rows, split, P, applied_through):
     # two chunks: the map task no longer combines the concatenated files
     t = pa.concat_tables([t.slice(0, k), t.slice(k)])
     want = _old_premerge(t, P, applied_through)
-    got = _premerge_fn(P, applied_through)(t)
+    got = _premerge(t, P, applied_through)
     assert sorted(got.schema.names) == sorted(want.schema.names)
     assert got.select(want.schema.names).equals(want)
 

@@ -10,7 +10,7 @@ import pyarrow.parquet as pq
 
 from nifi_ray.gen import GenConfig, base_table, events_table, write_base
 from nifi_ray.oracle import apply_events, state_from_base, state_to_table
-from nifi_ray.pipelines.cdc import CDCLake, _premerge_fn
+from nifi_ray.pipelines.cdc import CDCLake, _premerge
 from nifi_ray.stages.lww import collapse_last_writer
 
 
@@ -50,7 +50,7 @@ def _skewed_events(cfg: GenConfig, hot_doc: str, frac: float) -> pa.Table:
 def test_premerge_absorbs_hot_key():
     cfg = GenConfig(seed=31, n_docs=200, n_events=4000)
     ev = _skewed_events(cfg, "doc_hot", 0.5)
-    out = _premerge_fn(8, 0)(ev)
+    out = _premerge(ev, 8, 0)
     # the hot doc collapses to exactly one surviving row per batch
     hot_rows = out.filter(pc.equal(out["doc_id"], "doc_hot"))
     assert hot_rows.num_rows == 1

@@ -59,7 +59,7 @@ def run_variant(name: str, base_dir: str, ev_dir: str, work: str) -> dict:
         lake = CDCLake(lake_dir)
         lake.init_from(base_dir, num_partitions=PARTS)
         t0 = time.perf_counter()
-        st = lake.replay(ev_dir, batch_size=131072)
+        st = lake.replay(ev_dir)
         dt = time.perf_counter() - t0
         assert st is not None and st.events_applied == N_EVENTS
         best = min(best, dt)
