@@ -267,10 +267,11 @@ def _cdc_map_task(
     objects. Pure → retryable (quarantine parts are
     content-addressed, so a retry rewrites rather than duplicates).
 
-    Each file's footer is read once (``_lsn_footer``). When it proves
-    the whole file lies in (lo, lsn_hi] with no null LSNs, the file
-    takes a plain read; otherwise the LSN range filter is pushed down
-    to the row groups. That filter silently drops NULL-lsn rows, so
+    Each file is opened once and its footer parsed once
+    (``_lsn_footer``). When the footer proves the whole file lies in
+    (lo, lsn_hi] with no null LSNs, the same ``ParquetFile`` reads it
+    plainly; otherwise the LSN range filter is pushed down to the row
+    groups. That filter silently drops NULL-lsn rows, so
     files whose footer reports lsn nulls get a second is_null-filtered
     read routed straight to quarantine."""
     import pyarrow.dataset as pads
@@ -281,8 +282,9 @@ def _cdc_map_task(
         filters.append(("lsn", "<=", lsn_hi))
     tables, null_lsn = [], []
     for f in files:
-        proven, has_nulls = _lsn_footer(pq.read_metadata(f), lo, lsn_hi)
-        tables.append(pq.read_table(f) if proven else pq.read_table(f, filters=filters))
+        with pq.ParquetFile(f) as pf:
+            proven, has_nulls = _lsn_footer(pf.metadata, lo, lsn_hi)
+            tables.append(pf.read() if proven else pq.read_table(f, filters=filters))
         if has_nulls and quarantine_dir:
             bad = pads.dataset(f).to_table(filter=pc.field("lsn").is_null())
             if bad.num_rows:
@@ -340,7 +342,7 @@ def _rescale_map_task(inputs: list, P: int, G: int) -> tuple:
     or object refs of Arrow tables), stamp partition ids and scatter
     into G grouped shards."""
     _limit_arrow_threads()
-    tables = [pq.read_table(f) if isinstance(f, str) else ray.get(f) for f in inputs]
+    tables = [_read_part(f) if isinstance(f, str) else ray.get(f) for f in inputs]
     t = pa.concat_tables(tables, promote_options="permissive").combine_chunks()
     t = add_partition_column(t, P)
     return _scatter_by_partition(t, P, G)
@@ -401,20 +403,30 @@ def _cdc_apply_task(
     return out
 
 
+def _read_part(path: str, ids: pa.Array | pa.ChunkedArray | None = None) -> pa.Table:
+    """One parquet part, decoded whole through its ``ParquetFile``. A
+    lake part is a single row group, so a scanner with a key filter
+    would prune nothing and only pay for its own set-up. ``ids``
+    (Arrow strings) keeps the rows whose ``doc_id`` is among them, by a
+    hash ``is_in`` probe of the decoded part."""
+    with pq.ParquetFile(path) as pf:
+        t = pf.read()
+    return t if ids is None else t.filter(pc.is_in(t["doc_id"], value_set=ids))
+
+
 def _read_partition(
     lake_dir: str, file: str | None, deltas: list[str], schema: pa.Schema,
-    filters: list | None = None,
+    ids: pa.Array | pa.ChunkedArray | None = None,
 ) -> pa.Table:
     """One partition's state: its base part (none: empty) overlaid with
-    its delta parts. ``filters`` is pushed into every read, so it must
-    be a key filter (``doc_id IN``): a row predicate would drop the
-    delta image that overrides a base row and resurrect the base row."""
+    its delta parts. ``ids`` restricts every part to those doc_ids
+    before the overlay; only a key filter is sound here, because a row
+    predicate would drop the delta image that overrides a base row and
+    resurrect the base row."""
     base = (
-        pq.read_table(os.path.join(lake_dir, file), filters=filters)
-        if file
-        else schema.empty_table()
+        _read_part(os.path.join(lake_dir, file), ids) if file else schema.empty_table()
     )
-    parts = [pq.read_table(os.path.join(lake_dir, d), filters=filters) for d in deltas]
+    parts = [_read_part(os.path.join(lake_dir, d), ids) for d in deltas]
     return _merge_partition(base, parts, schema)
 
 
@@ -534,16 +546,26 @@ def _lookup_task(
     lake_dir: str, schema_b64: bytes, items: list[tuple],
     want_cols: list[str] | None,
 ) -> pa.Table:
-    """Point reads of a group of partitions for ``CDCLake.lookup``: each
-    ``(file, deltas, want)`` item pushes ``doc_id IN want`` into its
-    reads and overlays its deltas."""
+    """Point reads of a group of ``(file, deltas, want)`` partitions for
+    ``CDCLake.lookup``. Every base and delta part is probed with the
+    task's whole id set, and one LWW overlay runs over them all: the
+    partitions hold disjoint doc_ids, and the collapse keeps each doc's
+    max-LSN row whatever the input order. Bases written before a schema
+    change lack its columns, so they concatenate permissively."""
     _limit_arrow_threads()
     schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-    out = []
-    for file, deltas, want in items:
-        t = _read_partition(lake_dir, file, deltas, schema, [("doc_id", "in", want)])
-        out.append(t.select(want_cols) if want_cols else t)
-    return pa.concat_tables(out)
+    ids = pa.array([i for _, _, want in items for i in want], pa.string())
+    bases = [_read_part(os.path.join(lake_dir, f), ids) for f, _, _ in items if f]
+    deltas = [
+        _read_part(os.path.join(lake_dir, d), ids) for _, ds, _ in items for d in ds
+    ]
+    base = (
+        pa.concat_tables(bases, promote_options="permissive")
+        if bases
+        else schema.empty_table()
+    )
+    t = _merge_partition(base, deltas, schema)
+    return t.select(want_cols) if want_cols else t
 
 
 @ray.remote
@@ -552,7 +574,7 @@ def _verify_task(lake_dir: str, items: list[tuple]) -> list[dict]:
     for ``verify``."""
     _limit_arrow_threads()
     return [
-        _part_stats(k, rel, pq.read_table(os.path.join(lake_dir, rel)))
+        _part_stats(k, rel, _read_part(os.path.join(lake_dir, rel)))
         for k, rel in items
     ]
 
@@ -648,27 +670,24 @@ def _suffix_changed_images(
     """O(delta) old/new image extraction for a suffix-shaped diff item
     (``_version_diff_plan`` set ``suffix_deltas``): the changed docs are
     the docs named by the appended delta files. Reads the suffix deltas
-    (O(delta) bytes) plus the old snapshot restricted to those doc_ids
-    (``doc_id IN`` pushdown — row-group stat/dictionary pruning, the
-    same shape as ``CDCLake.lookup``), NEVER two full snapshots.
+    (O(delta) bytes) plus the old snapshot's parts probed for those
+    doc_ids (a hash ``is_in`` over each decoded part, the same shape as
+    ``CDCLake.lookup``), NEVER two full snapshots.
 
     Returns (old_sub, new_sub): the changed docs' state images at the
     two versions (insert → absent from old_sub; delete → absent from
     new_sub). No-op writes may appear with identical images in both —
     consumers that subtract contributions (matview, dedup_index) cancel
     them exactly, so no image comparison is needed here."""
-    suffix = [
-        pq.read_table(os.path.join(lake_dir, d)) for d in row["suffix_deltas"]
-    ]
+    suffix = [_read_part(os.path.join(lake_dir, d)) for d in row["suffix_deltas"]]
     ev = pa.concat_tables(suffix, promote_options="permissive")
     ev = collapse_last_writer(ev)
-    ids = ev["doc_id"].combine_chunks()
     old_sub = _read_partition(
         lake_dir,
         row["old_files"][0] if row["old_files"] else None,
         row["old_deltas"][0] if row["old_deltas"] else [],
         schema,
-        [("doc_id", "in", ids.to_pylist())],
+        ev["doc_id"],
     )
     live = ev.filter(pc.not_equal(ev["op"], "D"))
     new_sub = conform(live, schema)
@@ -794,7 +813,7 @@ class CDCLake:
         isolation; the manifest IS the snapshot).
 
         ``filters``: parquet-style predicate (tuple DNF, the
-        ``pq.read_table(filters=...)`` vocabulary) PUSHED INTO the scan
+        ``pyarrow.parquet`` filters vocabulary) PUSHED INTO the scan
         — row groups whose column stats exclude the predicate never
         leave storage. On a merge-on-read lake the pushdown stays
         correct under updates that move a doc across the predicate
@@ -838,12 +857,12 @@ class CDCLake:
             schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
             outs = []
             for row in batch.to_pylist():
-                base = pq.read_table(
-                    os.path.join(lake_dir, row["file"]), filters=filters
+                path = os.path.join(lake_dir, row["file"])
+                # only a user predicate can prune row groups by stats
+                base = (
+                    pq.read_table(path, filters=filters) if filters else _read_part(path)
                 )
-                deltas = [
-                    pq.read_table(os.path.join(lake_dir, d)) for d in row["deltas"]
-                ]
+                deltas = [_read_part(os.path.join(lake_dir, d)) for d in row["deltas"]]
                 t = _merge_partition(base, deltas, schema)
                 if expr is not None:
                     t = t.filter(expr)
@@ -874,7 +893,7 @@ class CDCLake:
         if not files:
             return pa.table({})
         return pa.concat_tables(
-            [pq.read_table(f) for f in files], promote_options="permissive"
+            [_read_part(f) for f in files], promote_options="permissive"
         )
 
     def export_shards(
@@ -1001,12 +1020,13 @@ class CDCLake:
         Scale path: the requested ids hash to their partitions
         (util/hashing.partition_of — the SAME function the write
         exchange uses), so only touched partitions are read; they are
-        dealt into ≤ CPUs tasks, and each partition's read pushes
-        ``doc_id IN (...)`` into the parquet scan (row-group stat
-        pruning + dictionary filtering), merging the partition's deltas
-        LWW over just the surviving rows. A k-id lookup on a
-        P-partition lake costs ≤ min(k, P, CPUs) tasks and
-        row-group-sized I/O, never a lake scan."""
+        dealt into ≤ CPUs tasks. Each task decodes every base and delta
+        part of its partitions once, keeps the wanted rows by a hash
+        ``is_in`` probe, and runs one LWW overlay over the survivors
+        (``_lookup_task``). A part is one row group, so footer stats
+        could skip no I/O within it. A k-id lookup on a P-partition
+        lake costs ≤ min(k, P, CPUs) tasks and reads only the touched
+        partitions' parts, never a lake scan."""
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
@@ -1043,8 +1063,8 @@ class CDCLake:
         IS the manifest chain).
 
         Cost: one partition-pruned point read per retained version
-        (``lookup``'s pushdown — ids hash to their partition, ``doc_id
-        IN`` filters row groups), never a lake scan; the scan unit is
+        (``lookup`` — the id hashes to its partition, whose parts are
+        probed for it), never a lake scan; the scan unit is
         the retention window, exactly like the reference's provenance
         index. Columns: version, watermark, change_op, then the row
         image (the pre-delete image for 'D', Delta-CDF style)."""

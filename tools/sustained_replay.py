@@ -7,9 +7,12 @@ exists for.
         [--partitions 64] [--tick 2000000] [--mode cow|delta]
         [--compact-every 4] [--work DIR]
 
-Prints one JSON line per tick (wall, events/s, bytes written) and a
-summary line with apply and compaction bytes per event and the final
-``verify()`` result; results recorded in BASELINE.md.
+Prints one JSON line per tick (wall, events/s, bytes written, and
+``lookup_s``: the wall time of one 64-id ``lookup`` of the same
+evenly spread base ids after the tick, which traces point-read cost
+against delta depth) and a summary line with apply and compaction
+bytes per event and the final ``verify()`` result; results recorded
+in BASELINE.md.
 """
 
 from __future__ import annotations
@@ -65,8 +68,10 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
+    import numpy as np
+
     from bench import gen_bench_data, warm_workers
-    from nifi_ray.gen import GenConfig
+    from nifi_ray.gen import GenConfig, _doc_ids_from_index
     from nifi_ray.pipelines.cdc import CDCLake
 
     cfg = GenConfig(seed=42, n_docs=args.docs, n_events=args.events)
@@ -100,6 +105,9 @@ def main():
             "ann_create_sec": round(time.perf_counter() - t0, 2),
         }))
 
+    lookup_ids = _doc_ids_from_index(
+        np.linspace(0, args.docs - 1, 64).astype(np.int64)
+    ).to_pylist()
     ticks = []
     tick_no = 0
     while True:
@@ -119,6 +127,9 @@ def main():
             "events_per_sec": round((st.events_applied if st else 0) / wall, 1),
             "bytes_written": lake.manifest().lineage[-1].get("bytes_written", 0),
         }
+        t0 = time.perf_counter()
+        lake.lookup(lookup_ids)
+        rec["lookup_s"] = round(time.perf_counter() - t0, 4)
         if args.maintain:
             t0 = time.perf_counter()
             lake.refresh_aggregate("by_source")
