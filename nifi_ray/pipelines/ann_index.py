@@ -391,13 +391,11 @@ def refresh_ann_index(
             return _load_manifest(lake.lake_dir, name)
 
     lake_dir = lake.lake_dir
-    schema_b64 = m_new.schema.serialize().to_pybytes()
+    schema = m_new.schema
     p_new = m_new.num_partitions
 
     def delta_items(batch: pa.Table) -> pa.Table:
         from ..util.hashing import partition_of
-
-        schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
 
         outs = []
         for row in batch.to_pylist():

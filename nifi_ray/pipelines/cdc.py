@@ -10,12 +10,12 @@ Dataflow per tick:
                         drop applied lsns, batch-local LWW collapse
                         (the skew absorber), then stamp partition_id
                         (vectorized CRC32) on the survivors only
-      → ONE all-to-all exchange, raw Ray tasks: ≤ CPUs map tasks each
-              scatter G = min(P, CPUs) grouped partition shards
-              (num_returns=G); G apply tasks consume exactly their
-              group's shards and split the pids locally; one
+      → ONE all-to-all exchange, raw Ray tasks (``_exchange``): ≤ CPUs
+              map tasks each scatter G = min(P, CPUs) grouped partition
+              shards (num_returns=G); G apply tasks consume exactly
+              their group's shards and split the pids locally; one
               object-store write + read per byte. Init and rescale run
-              the same exchange with a stamp-only map side and a
+              the same ``_exchange`` with a stamp-only map side and a
               write-every-pid apply side
       → apply, two modes (one prologue, ``_collapse_group``):
           cow (default): read base partition, vectorized LWW merge,
@@ -25,7 +25,8 @@ Dataflow per tick:
               a per-tick delta part — O(delta) bytes; readers overlay
               deltas by LWW (merge-on-read) and compact() folds them
     driver merges per-partition stats into the manifest and commits
-    atomically (phase 2 of the two-phase commit).
+    atomically (phase 2 of the two-phase commit); every commit after
+    init is ``Manifest.advance`` of the one it read.
 
 Exactly-once: part files are phase 1; the manifest rename is phase 2.
 A retried task overwrites its own deterministic file; a crash before
@@ -54,7 +55,6 @@ from ..stages.lww import collapse_last_writer, merge_into_base
 from ..state.manifest import (
     CommitConflict,
     Manifest,
-    append_lineage,
     commit_manifest,
     delta_file,
     load_manifest,
@@ -157,15 +157,22 @@ def _part_stats(k: int, rel: str, t: pa.Table, **extra) -> dict:
     }
 
 
-def _quarantine_row_count(quarantine_dir: str) -> int:
-    """Total quarantined rows (footer metadata only, no data read)."""
+def _full_entry(row: dict, max_lsn: int) -> dict:
+    """Manifest entry of the full part a ``_part_stats`` row describes."""
+    return {
+        "file": row["file"],
+        "rows": int(row["rows"]),
+        "max_lsn": int(max_lsn),
+        "token_hash": int(row["token_hash"]),
+        "hash_rev": HASH_REV,
+    }
+
+
+def _quarantine_files(quarantine_dir: str) -> list[str]:
+    """Sorted names of the quarantine parts written so far."""
     if not os.path.isdir(quarantine_dir):
-        return 0
-    return sum(
-        pq.read_metadata(os.path.join(quarantine_dir, f)).num_rows
-        for f in os.listdir(quarantine_dir)
-        if f.endswith(".parquet")
-    )
+        return []
+    return sorted(f for f in os.listdir(quarantine_dir) if f.endswith(".parquet"))
 
 
 def _drop_applied(t: pa.Table, applied_through: int) -> pa.Table:
@@ -318,6 +325,33 @@ def _group_bounds(P: int, G: int) -> np.ndarray:
     return np.linspace(0, P, G + 1).astype(np.int64)
 
 
+def _exchange(inputs: list, P: int, map_task, map_kw: dict, apply_call):
+    """The one map/apply exchange behind init, replay and rescale.
+
+    ``inputs`` are dealt into ≤ CPUs map tasks, each
+    ``map_task(chunk, P=P, G=G, **map_kw)`` returning G = ``_fan_out(P)``
+    grouped shards as separate objects (``num_returns=G``). Then one
+    ``apply_call(pid_lo, pid_hi, shards)`` per group submits its apply
+    task: [pid_lo, pid_hi) is the group's pid range (``_group_bounds``)
+    and ``shards`` its shard from every map task. Returns the apply
+    tasks' stats rows and the task plan."""
+    chunks = _deal(inputs)
+    G = _fan_out(P)
+    map_refs = [
+        map_task.options(num_returns=G).remote(chunk, P=P, G=G, **map_kw)
+        for chunk in chunks
+    ]
+    if G == 1:  # num_returns=1 returns a bare ref, normalize
+        map_refs = [[r] for r in map_refs]
+    bounds = _group_bounds(P, G)
+    apply_refs = [
+        apply_call(int(bounds[g]), int(bounds[g + 1]), [refs[g] for refs in map_refs])
+        for g in range(G)
+    ]
+    stats = [row for rows in ray.get(apply_refs) for row in rows]
+    return stats, {"map_tasks": len(chunks), "apply_tasks": G}
+
+
 def _scatter_by_partition(t: pa.Table, P: int, G: int):
     """Sort by partition code and slice into G shard tables; shard g
     holds group g's contiguous pid range (``_group_bounds``) and its
@@ -350,24 +384,21 @@ def _rescale_map_task(inputs: list, P: int, G: int) -> tuple:
 
 @ray.remote
 def _rescale_write_task(
-    lake_dir: str, schema_b64: bytes, version: int, pid_lo: int, pid_hi: int,
+    lake_dir: str, schema: pa.Schema, version: int, pid_lo: int, pid_hi: int,
     tick_token: str | None, *shards: pa.Table
 ) -> list[dict]:
     """Write one full part per pid in [pid_lo, pid_hi) from this group's
     shards — an empty partition gets an empty part, so the manifest
     names every partition."""
-    from ..stages.evolve import conform as _conform
-
     _limit_arrow_threads()
     parts = [s for s in shards if s.num_rows]
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     block = pa.concat_tables(parts, promote_options="permissive") if parts else None
     out = []
     for k in range(pid_lo, pid_hi):
         t = schema.empty_table()
         if block is not None:
             t = block.filter(pc.equal(block["partition_id"], k))
-            t = _conform(t.drop_columns(["partition_id"]).sort_by("doc_id"), schema)
+            t = conform(t.drop_columns(["partition_id"]).sort_by("doc_id"), schema)
         rel = part_file(k, version, tick_token)
         _write_part(lake_dir, rel, t)
         out.append(_part_stats(k, rel, t))
@@ -378,7 +409,7 @@ def _rescale_write_task(
 def _cdc_apply_task(
     lake_dir: str,
     base_files: dict,
-    schema_b64: bytes,
+    schema: pa.Schema,
     next_version: int,
     lo: int,
     tick_token: str | None,
@@ -391,7 +422,6 @@ def _cdc_apply_task(
     would revert every doc they updated to its last-compacted image.
     Deterministic names → idempotent retries."""
     _limit_arrow_threads()
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     out = []
     for k, events, stats in _collapse_group(shards, lo, schema):
         e = base_files.get(k, {})
@@ -491,7 +521,7 @@ def _diff_snapshots(old: pa.Table, new: pa.Table, key: str = "doc_id") -> pa.Tab
 @ray.remote
 def _cdc_delta_task(
     lake_dir: str,
-    schema_b64: bytes,
+    schema: pa.Schema,
     next_version: int,
     lo: int,
     tick_token: str | None,
@@ -503,7 +533,6 @@ def _cdc_delta_task(
     left after the guard writes nothing. Deterministic names →
     idempotent retries."""
     _limit_arrow_threads()
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     out = []
     for k, events, stats in _collapse_group(shards, lo, schema):
         if not events.num_rows:
@@ -524,14 +553,13 @@ def _cdc_delta_task(
 def _compact_task(
     lake_dir: str,
     items: list[tuple],
-    schema_b64: bytes,
+    schema: pa.Schema,
     next_version: int,
     tick_token: str | None = None,
 ) -> list[dict]:
     """Fold each ``(k, base_rel, delta_rels)`` partition's delta parts
     into a fresh COW base part."""
     _limit_arrow_threads()
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     out = []
     for k, base_rel, delta_rels in items:
         merged = _read_partition(lake_dir, base_rel, delta_rels, schema)
@@ -542,10 +570,7 @@ def _compact_task(
 
 
 @ray.remote(num_cpus=1)
-def _lookup_task(
-    lake_dir: str, schema_b64: bytes, items: list[tuple],
-    want_cols: list[str] | None,
-) -> pa.Table:
+def _lookup_task(lake_dir: str, schema: pa.Schema, items: list[tuple]) -> pa.Table:
     """Point reads of a group of ``(file, deltas, want)`` partitions for
     ``CDCLake.lookup``. Every base and delta part is probed with the
     task's whole id set, and one LWW overlay runs over them all: the
@@ -553,7 +578,6 @@ def _lookup_task(
     max-LSN row whatever the input order. Bases written before a schema
     change lack its columns, so they concatenate permissively."""
     _limit_arrow_threads()
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
     ids = pa.array([i for _, _, want in items for i in want], pa.string())
     bases = [_read_part(os.path.join(lake_dir, f), ids) for f, _, _ in items if f]
     deltas = [
@@ -564,8 +588,7 @@ def _lookup_task(
         if bases
         else schema.empty_table()
     )
-    t = _merge_partition(base, deltas, schema)
-    return t.select(want_cols) if want_cols else t
+    return _merge_partition(base, deltas, schema)
 
 
 @ray.remote
@@ -700,6 +723,11 @@ class CDCLake:
     def __init__(self, lake_dir: str):
         self.lake_dir = lake_dir
 
+    @property
+    def _qdir(self) -> str:
+        """Where replay routes quarantined events."""
+        return os.path.join(self.lake_dir, "_quarantine")
+
     # ------------------------------------------------------------- init
     def init_from(
         self,
@@ -708,10 +736,10 @@ class CDCLake:
     ) -> Manifest:
         """Bootstrap the lake (manifest v1) from a base table: parquet
         files (a path or list of paths), a ``pa.Table`` or a
-        ``ray.data.Dataset``. Every kind runs the init/rescale exchange
-        (``_rewrite_exchange``); a Table or Dataset feeds it as object
-        refs of its Arrow blocks. Every partition gets a part, empty
-        ones included."""
+        ``ray.data.Dataset``. Every kind runs ``_exchange`` with the
+        init/rescale tasks (stamp and scatter, then write every pid); a
+        Table or Dataset feeds it as object refs of its Arrow blocks.
+        Every partition gets a part, empty ones included."""
         if self.manifest() is not None:
             raise ValueError(
                 f"lake already initialized at {self.lake_dir}; use replay() "
@@ -735,19 +763,13 @@ class CDCLake:
             raise FileNotFoundError("no base files to initialize from")
         target = target.remove_metadata()
         os.makedirs(self.lake_dir, exist_ok=True)
-        stats, plan = self._rewrite_exchange(
-            inputs, num_partitions, target.serialize().to_pybytes(), 1, None
+        stats, plan = _exchange(
+            inputs, num_partitions, _rescale_map_task, {},
+            lambda pid_lo, pid_hi, shards: _rescale_write_task.remote(
+                self.lake_dir, target, 1, pid_lo, pid_hi, None, *shards
+            ),
         )
-        partitions = {
-            int(r["partition_id"]): {
-                "file": r["file"],
-                "rows": int(r["rows"]),
-                "max_lsn": 0,
-                "token_hash": int(r["token_hash"]),
-                "hash_rev": HASH_REV,
-            }
-            for r in stats
-        }
+        partitions = {int(r["partition_id"]): _full_entry(r, 0) for r in stats}
         m = Manifest(
             version=1,
             num_partitions=num_partitions,
@@ -766,34 +788,6 @@ class CDCLake:
         )
         commit_manifest(self.lake_dir, m)
         return m
-
-    def _rewrite_exchange(
-        self, inputs: list, P: int, schema_b64: bytes, version: int,
-        tick_token: str | None,
-    ) -> tuple[list[dict], dict]:
-        """Init and rescale exchange: map tasks read + stamp + scatter
-        whole-row inputs (parquet paths or Arrow table refs) into G
-        grouped shards, and one write task per group writes a part for
-        every pid in its range. Returns the per-partition stats rows and
-        the task plan."""
-        chunks = _deal(inputs)
-        G = _fan_out(P)
-        map_refs = [
-            _rescale_map_task.options(num_returns=G).remote(chunk, P, G)
-            for chunk in chunks
-        ]
-        if G == 1:
-            map_refs = [[r] for r in map_refs]
-        bounds = _group_bounds(P, G)
-        write_refs = [
-            _rescale_write_task.remote(
-                self.lake_dir, schema_b64, version, int(bounds[g]),
-                int(bounds[g + 1]), tick_token, *[refs[g] for refs in map_refs],
-            )
-            for g in range(G)
-        ]
-        stats = [row for rows in ray.get(write_refs) for row in rows]
-        return stats, {"map_tasks": len(chunks), "apply_tasks": G}
 
     # ------------------------------------------------------------ read
     def manifest(self, version: int | None = None) -> Manifest | None:
@@ -846,15 +840,13 @@ class CDCLake:
         # merge-on-read: one task per partition overlays its delta parts
         # (same LWW kernel as apply/compact); column pruning applies
         # post-merge — doc_id/lsn/op always travel for the merge itself
-        lake_dir = self.lake_dir
-        schema_b64 = m.schema.serialize().to_pybytes()
+        lake_dir, schema = self.lake_dir, m.schema
         items = [
             {"k": k, "file": e["file"], "deltas": list(e.get("deltas", []))}
             for k, e in sorted(m.partitions.items())
         ]
 
         def merge_items(batch: pa.Table) -> pa.Table:
-            schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
             outs = []
             for row in batch.to_pylist():
                 path = os.path.join(lake_dir, row["file"])
@@ -880,20 +872,12 @@ class CDCLake:
         """All quarantined (malformed, never-applied) event rows — the
         inspectable NiFi 'failure' relationship. Small by construction
         (bad records, not data); driver-side read is fine."""
-        qdir = os.path.join(self.lake_dir, "_quarantine")
-        files = (
-            [
-                os.path.join(qdir, f)
-                for f in sorted(os.listdir(qdir))
-                if f.endswith(".parquet")
-            ]
-            if os.path.isdir(qdir)
-            else []
-        )
+        files = _quarantine_files(self._qdir)
         if not files:
             return pa.table({})
         return pa.concat_tables(
-            [_read_part(f) for f in files], promote_options="permissive"
+            [_read_part(os.path.join(self._qdir, f)) for f in files],
+            promote_options="permissive",
         )
 
     def export_shards(
@@ -931,8 +915,7 @@ class CDCLake:
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        lake_dir = self.lake_dir
-        schema_b64 = m.schema.serialize().to_pybytes()
+        lake_dir, schema = self.lake_dir, m.schema
         items = [
             {"k": k, "file": e["file"], "deltas": list(e.get("deltas", []))}
             for k, e in sorted(m.partitions.items())
@@ -943,7 +926,6 @@ class CDCLake:
         _EH_KEY = b"nifi_ray.export.entry_hash"
 
         def export_item(batch: pa.Table) -> pa.Table:
-            schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
             rows = []
             for row in batch.to_pylist():
                 k = int(row["k"])
@@ -1031,14 +1013,11 @@ class CDCLake:
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
         ids = sorted(set(doc_ids))
-        if not ids:
-            return m.schema.empty_table().select(columns) if columns else m.schema.empty_table()
         pids = partition_of(pa.array(ids, pa.string()), m.num_partitions)
         by_part: dict[int, list[str]] = {}
         for i, p in zip(ids, pids):
             by_part.setdefault(int(p), []).append(i)
 
-        schema_b64 = m.schema.serialize().to_pybytes()
         items = []
         for p, want in sorted(by_part.items()):
             e = m.partitions.get(p)
@@ -1046,13 +1025,13 @@ class CDCLake:
                 items.append((e["file"], list(e.get("deltas", [])), want))
         parts = ray.get(
             [
-                _lookup_task.remote(self.lake_dir, schema_b64, group, columns)
+                _lookup_task.remote(self.lake_dir, m.schema, group)
                 for group in _deal(items)
             ]
         )
-        if not parts:
-            return m.schema.empty_table()
-        return pa.concat_tables(parts).sort_by("doc_id")
+        # sort before projecting: ``columns`` need not include doc_id
+        t = pa.concat_tables(parts).sort_by("doc_id") if parts else m.schema.empty_table()
+        return t.select(columns) if columns else t
 
     def doc_history(self, doc_id: str) -> pa.Table:
         """Provenance drill-down for ONE doc: its committed change
@@ -1068,7 +1047,6 @@ class CDCLake:
         the retention window, exactly like the reference's provenance
         index. Columns: version, watermark, change_op, then the row
         image (the pre-delete image for 'D', Delta-CDF style)."""
-        from ..stages.evolve import conform as _conform
         from ..state.manifest import retained_versions
         from ..util.hashing import row_image_hash
 
@@ -1094,8 +1072,8 @@ class CDCLake:
                 # added column with a value in cur reads as 'U', while
                 # selecting cur's names out of prev would KeyError
                 payload = [n for n in m.schema.names if n != "doc_id"]
-                if list(row_image_hash(_conform(cur, m.schema), payload)) != list(
-                    row_image_hash(_conform(prev, m.schema), payload)
+                if list(row_image_hash(conform(cur, m.schema), payload)) != list(
+                    row_image_hash(conform(prev, m.schema), payload)
                 ):
                     events.append((v, m.applied_through, "U", cur))
             prev = cur
@@ -1106,8 +1084,6 @@ class CDCLake:
             ):
                 empty = empty.add_column(i, name, pa.array([], t))
             return empty
-        from ..stages.evolve import conform
-
         # conform every image to the LATEST manifest schema (not the last
         # event's image schema — a trailing 'D' stores a pre-delete image
         # that may predate later column adds)
@@ -1184,10 +1160,8 @@ class CDCLake:
             return rd.from_arrow(empty.select(columns) if columns else empty)
 
         lake_dir = self.lake_dir
-        schema_b64 = schema.serialize().to_pybytes()
 
         def diff_items(batch: pa.Table) -> pa.Table:
-            tgt = pa.ipc.read_schema(pa.BufferReader(schema_b64))
             outs = []
             for row in batch.to_pylist():
                 k = int(row["k"])
@@ -1197,19 +1171,19 @@ class CDCLake:
                     # images (O(delta) bytes, never two full
                     # snapshots); _diff_snapshots still drops no-op
                     # writes by image comparison
-                    old_t, new_t = _suffix_changed_images(lake_dir, row, tgt)
+                    old_t, new_t = _suffix_changed_images(lake_dir, row, schema)
                 else:
                     new_t = _read_partition(
-                        lake_dir, row["new_file"], row["new_deltas"], tgt
+                        lake_dir, row["new_file"], row["new_deltas"], schema
                     )
                     olds = [
-                        _read_partition(lake_dir, f, d, tgt)
+                        _read_partition(lake_dir, f, d, schema)
                         for f, d in zip(row["old_files"], row["old_deltas"])
                     ]
                     old_t = (
                         pa.concat_tables(olds, promote_options="permissive")
                         if olds
-                        else tgt.empty_table()
+                        else schema.empty_table()
                     )
                     if not same_p and old_t.num_rows:
                         # keep only docs this NEW partition owns (an old
@@ -1313,6 +1287,8 @@ class CDCLake:
     ) -> TickStats | None:
         """Apply all events with ``applied_through < lsn <= lsn_hi``;
         optimistic concurrency against other writers on the same lake.
+        Each attempt is one tick (``_replay_once``): one ``_exchange``
+        and one ``Manifest.advance`` commit.
 
         A concurrent writer racing the same manifest version surfaces
         as ``CommitConflict`` — either at a data-part publish (exclusive
@@ -1372,14 +1348,14 @@ class CDCLake:
         (merge-on-read) and ``compact()`` folds them back into base
         parts. Final state is identical in both modes (same LWW kernel).
 
-        The exchange is two stages of raw Ray tasks: min(files, CPUs)
-        map tasks read+premerge their files and return one shard object
-        per partition group (``num_returns=G``, G = min(P, CPUs)); G
-        apply tasks consume exactly their group's shards and apply each
-        partition locally, so a tick costs no task per partition. One
-        object-store write and one read per byte, with no aggregator
-        actor between the stages. Lineage ``plan`` records the task
-        counts.
+        The tick runs ``_exchange``, two stages of raw Ray tasks:
+        min(files, CPUs) map tasks read+premerge their files and return
+        one shard object per partition group (``num_returns=G``, G =
+        min(P, CPUs)); G apply tasks consume exactly their group's
+        shards and apply each partition locally, so a tick costs no task
+        per partition. One object-store write and one read per byte,
+        with no aggregator actor between the stages. Lineage ``plan``
+        records the task counts.
         """
         import time as _time
 
@@ -1412,13 +1388,8 @@ class CDCLake:
             target = unify(target, s)
         schema_version = m.schema_version + (0 if target.equals(m.schema) else 1)
 
-        base_files = {
-            k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
-            for k, e in m.partitions.items()
-        }
         next_version = m.version + 1
-        qdir = os.path.join(self.lake_dir, "_quarantine")
-        q_before = _quarantine_row_count(qdir)
+        q_before = set(_quarantine_files(self._qdir))
 
         # tick token: deterministic in the tick's INPUTS — an identical
         # retry (Ray task retry, crash re-run of the same tick)
@@ -1430,9 +1401,20 @@ class CDCLake:
         tick_token = hashlib.md5(
             json.dumps([m.version, lo, lsn_hi, mode, sorted(files)]).encode()
         ).hexdigest()[:8]
-        stats_rows, plan = self._exchange_direct(
-            files, m, target, next_version, lo, lsn_hi,
-            delta=mode == "delta", tick_token=tick_token,
+        # the COW apply task also takes every partition's base entry
+        apply_task, head = _cdc_delta_task, (self.lake_dir,)
+        if mode != "delta":
+            base_files = {
+                k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
+                for k, e in m.partitions.items()
+            }
+            apply_task, head = _cdc_apply_task, (self.lake_dir, base_files)
+        stats_rows, plan = _exchange(
+            files, m.num_partitions, _cdc_map_task,
+            {"lo": lo, "lsn_hi": lsn_hi, "quarantine_dir": self._qdir},
+            lambda pid_lo, pid_hi, shards: apply_task.remote(
+                *head, target, next_version, lo, tick_token, *shards
+            ),
         )
 
         if not stats_rows:
@@ -1462,16 +1444,15 @@ class CDCLake:
                 e["max_lsn"] = int(r["max_lsn"])
                 partitions[k] = e
             else:
-                partitions[k] = {
-                    "file": r["file"],
-                    "rows": int(r["rows"]),
-                    "max_lsn": int(r["max_lsn"]),
-                    "token_hash": int(r["token_hash"]),
-                    "hash_rev": HASH_REV,
-                }
+                partitions[k] = _full_entry(r, r["max_lsn"])
         events_applied = sum(int(r["events_applied"]) for r in stats_rows)
         dups = sum(int(r["dups_dropped"]) for r in stats_rows)
-        quarantined = _quarantine_row_count(qdir) - q_before
+        # quarantine parts are content-addressed: only new names add rows
+        quarantined = sum(
+            pq.read_metadata(os.path.join(self._qdir, f)).num_rows
+            for f in _quarantine_files(self._qdir)
+            if f not in q_before
+        )
         wall = _time.perf_counter() - t0
         lineage = {
             "kind": "APPLY" if mode == "cow" else "APPLY_DELTA",
@@ -1488,16 +1469,10 @@ class CDCLake:
             "files_out": [r.get("file") or r.get("delta_file") for r in stats_rows],
             "plan": plan,
         }
-        m2 = Manifest(
-            version=next_version,
-            num_partitions=m.num_partitions,
-            schema_version=schema_version,
-            schema=target,
-            applied_through=hi,
-            partitions=partitions,
-            lineage=append_lineage(m.lineage, lineage),
-        )
-        commit_manifest(self.lake_dir, m2)
+        commit_manifest(self.lake_dir, m.advance(
+            lineage, schema_version=schema_version, schema=target,
+            applied_through=hi, partitions=partitions,
+        ))
         from ..state.metrics import append_tick_metrics
 
         append_tick_metrics(self.lake_dir, next_version, (lo, hi), wall, stats_rows)
@@ -1516,8 +1491,8 @@ class CDCLake:
     def rescale(self, new_num_partitions: int) -> Manifest:
         """Repartition the lake to a new partition count (one manifest
         version; the watermark is unchanged). The growth operation at
-        scale: double P when partitions outgrow a task's memory. Uses
-        the same keyed exchange as init."""
+        scale: double P when partitions outgrow a task's memory. Runs
+        ``_exchange`` with the same tasks as init."""
         m = self.manifest()
         if m is None:
             raise FileNotFoundError("lake not initialized")
@@ -1526,43 +1501,29 @@ class CDCLake:
             # merge-on-read state is never silently dropped
             self.compact()
             m = self.manifest()
-        next_version = m.version + 1
-        schema_b64 = m.schema.serialize().to_pybytes()
-        files = m.data_files(self.lake_dir)
         P = new_num_partitions
         tick_token = hashlib.md5(
             json.dumps([m.version, "rescale", P]).encode()
         ).hexdigest()[:8]
-        stats, plan = self._rewrite_exchange(
-            files, P, schema_b64, next_version, tick_token
+        stats, plan = _exchange(
+            m.data_files(self.lake_dir), P, _rescale_map_task, {},
+            lambda pid_lo, pid_hi, shards: _rescale_write_task.remote(
+                self.lake_dir, m.schema, m.version + 1, pid_lo, pid_hi,
+                tick_token, *shards,
+            ),
         )
         partitions = {
-            row["partition_id"]: {
-                "file": row["file"],
-                "rows": row["rows"],
-                "max_lsn": m.applied_through,
-                "token_hash": row["token_hash"],
-                "hash_rev": HASH_REV,
-            }
-            for row in stats
+            row["partition_id"]: _full_entry(row, m.applied_through) for row in stats
         }
-        m2 = Manifest(
-            version=next_version,
-            num_partitions=P,
-            schema_version=m.schema_version,
-            schema=m.schema,
-            applied_through=m.applied_through,
-            partitions=partitions,
-            lineage=append_lineage(
-                m.lineage,
-                {
-                    "kind": "RESCALE",
-                    "from_partitions": m.num_partitions,
-                    "to_partitions": P,
-                    "rows": sum(p["rows"] for p in partitions.values()),
-                    "plan": plan,
-                },
-            ),
+        m2 = m.advance(
+            {
+                "kind": "RESCALE",
+                "from_partitions": m.num_partitions,
+                "to_partitions": P,
+                "rows": sum(p["rows"] for p in partitions.values()),
+                "plan": plan,
+            },
+            num_partitions=P, partitions=partitions,
         )
         commit_manifest(self.lake_dir, m2)
         return m2
@@ -1584,72 +1545,20 @@ class CDCLake:
         tgt = self.manifest(version)
         if tgt is None:
             raise FileNotFoundError(f"version {version} is not retained")
-        m2 = Manifest(
-            version=cur.version + 1,
+        m2 = cur.advance(
+            {
+                "kind": "RESTORE",
+                "to_version": version,
+                "applied_through": tgt.applied_through,
+            },
             num_partitions=tgt.num_partitions,
             schema_version=tgt.schema_version,
             schema=tgt.schema,
             applied_through=tgt.applied_through,
             partitions=tgt.partitions,
-            lineage=append_lineage(
-                cur.lineage,
-                {
-                    "kind": "RESTORE",
-                    "to_version": version,
-                    "applied_through": tgt.applied_through,
-                },
-            ),
         )
         commit_manifest(self.lake_dir, m2)
         return m2
-
-    # ------------------------------------------------------- exchanges
-    def _exchange_direct(
-        self, files, m: Manifest, target: pa.Schema, next_version: int,
-        lo: int, lsn_hi: int | None, delta: bool = False,
-        tick_token: str | None = None,
-    ) -> tuple[list[dict], dict]:
-        """Explicit map/apply exchange (see ``replay`` docstring).
-        ``delta=True`` swaps the apply side for the delta writer.
-        Returns the stats rows and the task plan."""
-        P = m.num_partitions
-        chunks = _deal(files)
-        G = _fan_out(P)
-        base_files = {
-            k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
-            for k, e in m.partitions.items()
-        }
-        schema_b64 = target.serialize().to_pybytes()
-        qdir = os.path.join(self.lake_dir, "_quarantine")
-        map_refs = [
-            _cdc_map_task.options(num_returns=G).remote(chunk, P, lo, lsn_hi, G, qdir)
-            for chunk in chunks
-        ]
-        if G == 1:  # num_returns=1 returns a bare ref, normalize
-            map_refs = [[r] for r in map_refs]
-        if delta:
-            apply_refs = [
-                _cdc_delta_task.remote(
-                    self.lake_dir, schema_b64, next_version, lo, tick_token,
-                    *[refs[g] for refs in map_refs],
-                )
-                for g in range(G)
-            ]
-        else:
-            apply_refs = [
-                _cdc_apply_task.remote(
-                    self.lake_dir,
-                    base_files,
-                    schema_b64,
-                    next_version,
-                    lo,
-                    tick_token,
-                    *[refs[g] for refs in map_refs],
-                )
-                for g in range(G)
-            ]
-        stats = [row for rows in ray.get(apply_refs) for row in rows]
-        return stats, {"map_tasks": len(chunks), "apply_tasks": G}
 
     # ----------------------------------------------------- verification
     def verify(self, version: int | None = None) -> dict:
@@ -1747,8 +1656,6 @@ class CDCLake:
         }
         if not todo:
             return None
-        next_version = m.version + 1
-        schema_b64 = m.schema.serialize().to_pybytes()
         tick_token = hashlib.md5(
             json.dumps([m.version, "compact"]).encode()
         ).hexdigest()[:8]
@@ -1757,7 +1664,7 @@ class CDCLake:
         )
         refs = [
             _compact_task.remote(
-                self.lake_dir, group, schema_b64, next_version, tick_token
+                self.lake_dir, group, m.schema, m.version + 1, tick_token
             )
             for group in groups
         ]
@@ -1765,31 +1672,17 @@ class CDCLake:
         bytes_written = 0
         for r in (r for rows in ray.get(refs) for r in rows):
             k = int(r["partition_id"])
-            partitions[k] = {
-                "file": r["file"],
-                "rows": int(r["rows"]),
-                "max_lsn": int(m.partitions[k]["max_lsn"]),
-                "token_hash": int(r["token_hash"]),
-                "hash_rev": HASH_REV,
-            }
+            partitions[k] = _full_entry(r, m.partitions[k]["max_lsn"])
             bytes_written += int(r["bytes_written"])
-        m2 = Manifest(
-            version=next_version,
-            num_partitions=m.num_partitions,
-            schema_version=m.schema_version,
-            schema=m.schema,
-            applied_through=m.applied_through,
+        m2 = m.advance(
+            {
+                "kind": "COMPACT",
+                "partitions": sorted(todo),
+                "deltas_folded": sum(len(e["deltas"]) for e in todo.values()),
+                "bytes_written": bytes_written,
+                "plan": {"map_tasks": 0, "apply_tasks": len(groups)},
+            },
             partitions=partitions,
-            lineage=append_lineage(
-                m.lineage,
-                {
-                    "kind": "COMPACT",
-                    "partitions": sorted(todo),
-                    "deltas_folded": sum(len(e["deltas"]) for e in todo.values()),
-                    "bytes_written": bytes_written,
-                    "plan": {"map_tasks": 0, "apply_tasks": len(groups)},
-                },
-            ),
         )
         commit_manifest(self.lake_dir, m2)
         return m2
@@ -1814,13 +1707,9 @@ class CDCLake:
                 break
             else:
                 # empty range: advance watermark with a metadata-only commit
-                m2 = load_manifest(self.lake_dir)
-                m2.version += 1
-                m2.applied_through = hi
-                m2.lineage = append_lineage(
-                    m2.lineage,
+                commit_manifest(self.lake_dir, m.advance(
                     {"kind": "APPLY", "lsn_range": [lo, hi], "events_applied": 0,
                      "plan": {"map_tasks": 0, "apply_tasks": 0}},
-                )
-                commit_manifest(self.lake_dir, m2)
+                    applied_through=hi,
+                ))
         return out

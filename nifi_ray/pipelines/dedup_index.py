@@ -355,15 +355,13 @@ def refresh_dedup_index(
     import ray.data as rd
 
     lake_dir = lake.lake_dir
-    schema_b64 = m_new.schema.serialize().to_pybytes()
+    schema = m_new.schema
     p_new = m_new.num_partitions
     hasher = _hasher(spec)
 
 
     def delta_items(batch: pa.Table) -> pa.Table:
         from ..util.hashing import partition_of
-
-        schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
 
         outs = []
         for row in batch.to_pylist():

@@ -198,14 +198,13 @@ def read_aggregate(lake, name: str, version: int | None = None) -> pa.Table:
     return pq.read_table(os.path.join(d, f"agg_v{version:06d}.parquet"))
 
 
-def _full_partials(lake, spec: dict, target_b64: bytes):
+def _full_partials(lake, spec: dict, tgt: pa.Schema):
     """Distributed full-scan partials (creation / expired-base rebuild):
     one grouped partial per state block — only (groups × blocks) tiny
     rows ever leave the workers."""
     group_by, sums, derive = spec["group_by"], spec["sums"], spec["derive"]
 
     def part(batch: pa.Table) -> pa.Table:
-        tgt = pa.ipc.read_schema(pa.BufferReader(target_b64))
         return _signed_partial(batch, group_by, sums, derive, tgt, 1)
 
     import ray
@@ -216,7 +215,6 @@ def _full_partials(lake, spec: dict, target_b64: bytes):
         | {src for _, _, src in derive}
     )
     ds = lake.read(columns=cols).map_batches(part, batch_format="pyarrow")
-    tgt = pa.ipc.read_schema(pa.BufferReader(target_b64))
     tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     return pa.concat_tables(tables or [tgt.empty_table()])
 
@@ -246,7 +244,7 @@ def create_aggregate(
         if schema.get_field_index(c) < 0:
             raise KeyError(f"aggregate {name!r}: column {c!r} not in lake schema")
     target = _partial_schema(schema, group_by, sums, derive)
-    partials = _full_partials(lake, spec, target.serialize().to_pybytes())
+    partials = _full_partials(lake, spec, target)
     out = _combine(partials, group_by, sums)
     d = _view_dir(lake.lake_dir, name)
     os.makedirs(d, exist_ok=True)
@@ -292,7 +290,7 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
         m_old = None
     if m_old is None:
         # reflected version expired → rebuild from a full scan
-        partials = _full_partials(lake, spec, target.serialize().to_pybytes())
+        partials = _full_partials(lake, spec, target)
         out = _combine(partials, group_by, sums)
         _publish(lake.lake_dir, name, m_new.version, out)
         return read_aggregate(lake, name)
@@ -305,15 +303,11 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
     import ray.data as rd
 
     lake_dir = lake.lake_dir
-    schema_b64 = m_new.schema.serialize().to_pybytes()
-    target_b64 = target.serialize().to_pybytes()
+    schema = m_new.schema
     p_new = m_new.num_partitions
 
     def delta_items(batch: pa.Table) -> pa.Table:
         from ..util.hashing import partition_of
-
-        schema = pa.ipc.read_schema(pa.BufferReader(schema_b64))
-        tgt = pa.ipc.read_schema(pa.BufferReader(target_b64))
 
         outs = []
         for row in batch.to_pylist():
@@ -341,9 +335,9 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
                     old_t = old_t.filter(
                         pa.array(partition_of(old_t["doc_id"], p_new) == k)
                     )
-            outs.append(_signed_partial(new_t, group_by, sums, derive, tgt, 1))
-            outs.append(_signed_partial(old_t, group_by, sums, derive, tgt, -1))
-        return pa.concat_tables(outs) if outs else tgt.empty_table()
+            outs.append(_signed_partial(new_t, group_by, sums, derive, target, 1))
+            outs.append(_signed_partial(old_t, group_by, sums, derive, target, -1))
+        return pa.concat_tables(outs) if outs else target.empty_table()
 
     import ray
 

@@ -38,7 +38,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import pyarrow as pa
@@ -122,11 +122,15 @@ class Manifest:
     schema: pa.Schema
     applied_through: int  # resume watermark: all events with lsn <= this are applied
     partitions: dict[int, dict[str, Any]] = field(default_factory=dict)
-    # partitions[k] = {file, rows, max_lsn, token_hash[, deltas: [...]]}
-    # ``deltas``: merge-on-read part files written by delta-mode replay
-    # (collapsed events incl. tombstones, newest last); ``file``/``rows``/
-    # ``token_hash`` then describe the last COMPACTED state — readers
-    # overlay deltas by LWW, ``compact()`` folds them back in.
+    # partitions[k] = {file, rows, max_lsn, token_hash, hash_rev
+    #                  [, deltas: [...], delta_meta: {...}]}
+    # ``hash_rev``: revision of the ``state_checksum`` that produced
+    # ``token_hash`` (missing = rev 1). ``deltas``: merge-on-read part
+    # files written by delta-mode replay (collapsed events incl.
+    # tombstones, newest last); ``file``/``rows``/``token_hash`` then
+    # describe the last COMPACTED state — readers overlay deltas by LWW,
+    # ``compact()`` folds them back in. ``delta_meta[d]`` = {rows, hash,
+    # hash_rev} of delta file ``d``, so ``verify()`` covers it.
     lineage: list[dict[str, Any]] = field(default_factory=list)
     created_unix: float = 0.0
 
@@ -158,6 +162,18 @@ class Manifest:
             partitions={int(k): v for k, v in d["partitions"].items()},
             lineage=d["lineage"],
             created_unix=d.get("created_unix", 0.0),
+        )
+
+    def advance(self, record: dict[str, Any], **changes: Any) -> "Manifest":
+        """The next version: this manifest with ``record`` appended to
+        its lineage and ``changes`` (dataclass fields) applied. Every
+        commit after the first is built this way, so version + 1 and the
+        lineage append live in one place."""
+        return replace(
+            self,
+            version=self.version + 1,
+            lineage=append_lineage(self.lineage, record),
+            **changes,
         )
 
     def data_files(self, lake_dir: str) -> list[str]:

@@ -145,3 +145,23 @@ def test_lookup_matches_full_read_at_every_delta_depth(ray_session, tmp_path, P)
 
     lake.compact()
     check(0)
+
+
+def test_lookup_columns_without_doc_id(ray_session, tmp_path):
+    """``columns`` that leave out doc_id: rows still come back in doc_id
+    order, projected; an empty id list gives the projected empty table."""
+    cfg = GenConfig(seed=89, n_docs=200, n_events=600)
+    b, e, l = (str(tmp_path / d) for d in ("b", "e", "l"))
+    write_base(cfg, b, shards=1)
+    write_events(cfg, e, shards=2)
+    lake = CDCLake(l)
+    lake.init_from(b, num_partitions=4)
+    lake.replay(e, lsn_hi=300)
+    lake.replay(e, mode="delta")
+    ids = random.Random(3).sample(base_table(cfg)["doc_id"].to_pylist(), 20) + ["doc-absent"]
+    full = lake.read_table()
+    want = full.filter(pc.is_in(full["doc_id"], value_set=pa.array(ids, pa.string())))
+    want = want.sort_by("doc_id").select(["n_tok"])
+    got = lake.lookup(ids, columns=["n_tok"])
+    assert got.equals(want)
+    assert lake.lookup([], columns=["n_tok"]).equals(want.schema.empty_table())

@@ -96,3 +96,26 @@ def test_quarantine_delta_mode_and_gc_safe(lake_dirs):
     expire_versions(lake.lake_dir, keep_last=1)
     gc_orphans(lake.lake_dir)
     assert lake.quarantine().num_rows == 3
+
+
+def _bad_tick(lsn0: int, tag: str) -> pa.Table:
+    """``_bad_events`` with doc ids tagged so no two ticks write the
+    same quarantine rows."""
+    t = _bad_events(lsn0)
+    ids = [None if d is None else f"{d}-{tag}" for d in t["doc_id"].to_pylist()]
+    return t.set_column(2, "doc_id", pa.array(ids, pa.string()))
+
+
+def test_quarantine_count_is_this_ticks_rows(lake_dirs):
+    """Two ticks quarantine different bad rows: each reports only its
+    own 3, not every quarantined row on disk."""
+    lake, ev_dir, tmp_path = lake_dirs
+    lake.replay(ev_dir)
+    for i in range(2):
+        bad_dir = str(tmp_path / f"bad{i}")
+        os.makedirs(bad_dir)
+        pq.write_table(_bad_tick(CFG.n_events + 10 * (i + 1), str(i)), f"{bad_dir}/m.parquet")
+        st = lake.replay(bad_dir)
+        assert st.quarantined == 3
+        assert lake.manifest().lineage[-1]["quarantined"] == 3
+    assert lake.quarantine().num_rows == 6

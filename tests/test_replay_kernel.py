@@ -141,20 +141,19 @@ def test_straddling_file_reapplies_nothing_below_watermark(dirs):
 def test_apply_guard_drops_and_counts_rows_at_or_below_watermark(tmp_path):
     """Rows that reach the apply side at or below the watermark are
     dropped there and counted as dups_dropped."""
-    schema_b64 = BASE_SCHEMA.serialize().to_pybytes()
     group = _events([4, 5, 6, 7], ["old1", "old2", "new1", "new2"], ["I"] * 4)
     group = add_partition_column(
         collapse_last_writer(group, count_col="ev_count"), 1
     )
     apply = _cdc_apply_task._function
-    row = apply(str(tmp_path), {}, schema_b64, 2, 5, "t", group)[0]
+    row = apply(str(tmp_path), {}, BASE_SCHEMA, 2, 5, "t", group)[0]
     assert row["events_in"] == 4
     assert row["dups_dropped"] == 2
     assert row["events_applied"] == 2
     part = pq.read_table(os.path.join(str(tmp_path), row["file"]))
     assert sorted(part["doc_id"].to_pylist()) == ["new1", "new2"]
     # nothing at or below: the guard is skipped and nothing is dropped
-    row = apply(str(tmp_path), {}, schema_b64, 3, 3, "u", group)[0]
+    row = apply(str(tmp_path), {}, BASE_SCHEMA, 3, 3, "u", group)[0]
     assert row["dups_dropped"] == 0 and row["rows"] == 4
 
 
