@@ -21,9 +21,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-# Bump when any expected-value implementation (or the engine semantics
-# it mirrors) changes — keys the /tmp cache.
-_REV = 8  # r4: + neardup_keep (canonical doc per near-dup cluster)
+from .util.hashing import source_key
+
+# Short hash of this file's bytes — keys the /tmp cache, so editing any
+# expected-value implementation rebuilds the tables it caches.
+_REV = source_key([__file__])
 
 _M64 = (1 << 64) - 1
 
@@ -1885,7 +1887,7 @@ def expected_table_path(name: str, sf_dir: str) -> str:
     """Materialize ONE expected table as parquet (skip-if-exists,
     atomic rename) and return its path. The single cache entry point:
     oracle SQL and the schema-parity lint both read through it, so a
-    builder runs at most once per (name, sf, _REV) on a machine — the
+    builder runs at most once per (name, sf, source hash) on a machine — the
     lint previously called builders directly and re-ran every scalar
     dual (incl. the pure-Python JPEG decodes) on EVERY pytest run."""
     sf_tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"

@@ -28,18 +28,24 @@ Index layout (under the lake root, versioned like the dedup index):
         version's lexicographically-first `sample` docs)
     _indexes/{name}/idx_v{V:06d}.json           manifest per reflected
                                                 lake version V
-    _indexes/{name}/c={C:04d}/{part,delta}-v{V:06d}.parquet
+    _indexes/{name}/c={C:04d}/{part,delta}-v{V:06d}[-from{F:06d}].parquet
         cell files of (doc_id, emb_hash, emb, sign) rows; cell C =
         argmax centroid · embedding. Base files hold +1 rows; delta
         patches hold ±1 (−1 removes that exact (doc, emb_hash) row).
         Cell state = rows whose net sign per (doc, emb_hash) is > 0 —
         an update's −old/+new pair replaces the embedding without
         rewriting the cell base (merge-on-read, compacted past
-        ``max_deltas``, the same policy as the lake itself).
+        ``max_deltas``, the same policy as the lake itself). A
+        refresh from index version F tags what it writes ``-fromF``.
+
+The refresh protocol is dedup_index's ``_refresh_signed``; this module
+supplies only the kernels (embedding rows, cell assignment, merge,
+writer, rebuild).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -49,7 +55,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state.manifest import publish_part
-from .dedup_index import _dir, _publish, index_versions
+from .dedup_index import (
+    _dir,
+    _entry_parts,
+    _load_spec,
+    _publish,
+    _refresh_signed,
+)
+from .dedup_index import load_index_manifest as _load_manifest
 
 _IDX_RE_NAME = "ann"
 
@@ -157,6 +170,13 @@ def _cells_of(emb_rows: pa.Table, centroids: np.ndarray) -> np.ndarray:
     return np.argmax(M @ centroids.T, axis=1).astype(np.int32)
 
 
+def _key(t: pa.Table) -> pa.ChunkedArray:
+    """``doc_id \x1f emb_hash`` — the identity of one index row."""
+    return pc.binary_join_element_wise(
+        t["doc_id"], pc.cast(t["emb_hash"], pa.string()), pa.scalar("\x1f")
+    )
+
+
 def _merge_cell(tables: list[pa.Table], dim: int) -> pa.Table:
     """base + delta patches → live rows (net sign > 0, one row per
     (doc, emb_hash))."""
@@ -171,14 +191,8 @@ def _merge_cell(tables: list[pa.Table], dim: int) -> pa.Table:
     # join surviving keys back to ONE +1 row each (the embedding rides
     # on the + rows; duplicates collapse via unique-on-key)
     plus = allr.filter(pc.greater(allr["sign"], 0))
-    sep = pa.scalar("\x1f")
-    def key(t):
-        return pc.binary_join_element_wise(
-            t["doc_id"], pc.cast(t["emb_hash"], pa.string()), sep
-        )
-    alive = key(g).combine_chunks()
-    plus = plus.filter(pc.is_in(key(plus), value_set=alive))
-    k = key(plus).to_numpy(zero_copy_only=False)
+    plus = plus.filter(pc.is_in(_key(plus), value_set=_key(g).combine_chunks()))
+    k = _key(plus).to_numpy(zero_copy_only=False)
     _, idx = np.unique(k, return_index=True)
     return plus.take(pa.array(np.sort(idx)))
 
@@ -211,28 +225,7 @@ def _write_cell(lake_dir, name, cell, version, rows: pa.Table, kind="part",
 
 
 def _read_cell(lake_dir: str, entry: dict | None, dim: int) -> pa.Table:
-    if not entry:
-        return _rows_schema(dim).empty_table()
-    parts = []
-    if entry.get("file"):
-        parts.append(pq.read_table(os.path.join(lake_dir, entry["file"])))
-    for rel in entry.get("deltas", []):
-        parts.append(pq.read_table(os.path.join(lake_dir, rel)))
-    return _merge_cell(parts, dim)
-
-
-def _load_spec(lake_dir: str, name: str) -> dict:
-    with open(os.path.join(_dir(lake_dir, name), "spec.json")) as f:
-        return json.load(f)
-
-
-def _load_manifest(lake_dir: str, name: str, version: int | None = None) -> dict:
-    vs = index_versions(lake_dir, name)
-    if not vs:
-        raise FileNotFoundError(f"ann index {name!r}: not created")
-    v = vs[-1] if version is None else version
-    with open(os.path.join(_dir(lake_dir, name), f"idx_v{v:06d}.json")) as f:
-        return json.load(f)
+    return _merge_cell(_entry_parts(lake_dir, entry), dim)
 
 
 def load_centroids(lake_dir: str, name: str) -> np.ndarray:
@@ -339,165 +332,35 @@ def _build_cells(lake, name, spec, centroids, version) -> dict:
 def refresh_ann_index(
     lake, name: str = "ann", max_delta_rows: int = 2_000_000, max_deltas: int = 8
 ) -> dict:
-    """Advance the index to the lake's latest version: manifest-diff →
-    changed docs' −old/+new embedding rows → per-cell delta patches
-    (compacted past ``max_deltas``); dense ticks fall back to a full
-    rebuild, decided from footer metadata before any work."""
-    import ray
-    import ray.data as rd
+    """Advance the index to the lake's latest version (dedup_index
+    ``_refresh_signed``): the changed docs' −old/+new embedding rows,
+    minus the pairs that cancel (same (doc, emb_hash)), patch the cells
+    they fall in."""
+    from .cdc import _changed_only
 
-    from .cdc import (
-        _diff_snapshots,
-        _read_partition,
-        _suffix_changed_images,
-        _version_diff_plan,
-    )
-
-    m_new = lake.manifest()
-    if m_new is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
-    idx = _load_manifest(lake.lake_dir, name)
-    if idx["version"] >= m_new.version:
-        return idx
     spec = _load_spec(lake.lake_dir, name)
-    dim = spec["dim"]
     centroids = load_centroids(lake.lake_dir, name)
-    try:
-        m_old = lake.manifest(idx["version"])
-    except FileNotFoundError:
-        m_old = None
-    if m_old is None:
-        cells_map = _build_cells(lake, name, spec, centroids, m_new.version)
-        _publish(lake.lake_dir, name, m_new.version, cells_map)
-        return _load_manifest(lake.lake_dir, name)
 
-    items, same_p = _version_diff_plan(m_old, m_new)
-    if not items:
-        _publish(lake.lake_dir, name, m_new.version, dict(idx["buckets"]))
-        return _load_manifest(lake.lake_dir, name)
-
-    # dense-tick early rebuild from footer metadata only (the same
-    # decision rule as the dedup index: patching most of the corpus
-    # costs more than rebuilding it)
-    if all(r.get("suffix_deltas") is not None for r in items):
-        est = sum(
-            pq.read_metadata(os.path.join(lake.lake_dir, d)).num_rows
-            for r in items
-            for d in r["suffix_deltas"]
-        )
-        if est * 2 > max_delta_rows:
-            cells_map = _build_cells(lake, name, spec, centroids, m_new.version)
-            _publish(lake.lake_dir, name, m_new.version, cells_map)
-            return _load_manifest(lake.lake_dir, name)
-
-    lake_dir = lake.lake_dir
-    schema = m_new.schema
-    p_new = m_new.num_partitions
-
-    def delta_items(batch: pa.Table) -> pa.Table:
-        from ..util.hashing import partition_of
-
-        outs = []
-        for row in batch.to_pylist():
-            k = int(row["k"])
-            if row.get("suffix_deltas") is not None:
-                old_sub, new_sub = _suffix_changed_images(lake_dir, row, schema)
-            else:
-                new_t = _read_partition(
-                    lake_dir, row["new_file"], row["new_deltas"], schema
-                )
-                olds = [
-                    _read_partition(lake_dir, f, dd, schema)
-                    for f, dd in zip(row["old_files"], row["old_deltas"])
-                ]
-                old_t = (
-                    pa.concat_tables(olds, promote_options="permissive")
-                    if olds
-                    else schema.empty_table()
-                )
-                if not same_p and old_t.num_rows:
-                    old_t = old_t.filter(
-                        pa.array(partition_of(old_t["doc_id"], p_new) == k)
-                    )
-                diff = _diff_snapshots(old_t, new_t)
-                if diff.num_rows == 0:
-                    continue
-                ids = diff["doc_id"].combine_chunks()
-                old_sub = old_t.filter(
-                    pc.is_in(old_t["doc_id"].combine_chunks(), value_set=ids)
-                )
-                new_sub = new_t.filter(
-                    pc.is_in(new_t["doc_id"].combine_chunks(), value_set=ids)
-                )
-            for sub, sign in ((new_sub, 1), (old_sub, -1)):
-                r = _make_rows(sub.select(["doc_id", "tokens"]), spec, sign)
-                outs.append(r)
-        if not outs:
-            return _rows_schema(dim).empty_table()
-        allr = pa.concat_tables(outs)
-        # residual cancellation: a no-op write's −/+ rows share
-        # (doc, emb_hash) and net to zero
+    def rows(old: pa.Table, new: pa.Table) -> pa.Table:
+        old, new = _changed_only(old, new)
+        allr = pa.concat_tables([_make_rows(new, spec, 1), _make_rows(old, spec, -1)])
+        # a doc whose tokens did not change yields −/+ rows with one
+        # (doc, emb_hash); they net to zero and ship nothing
         g = allr.group_by(["doc_id", "emb_hash"]).aggregate([("sign", "sum")])
         g = g.filter(pc.not_equal(g["sign_sum"], 0))
-        sep = pa.scalar("\x1f")
-        def key(t):
-            return pc.binary_join_element_wise(
-                t["doc_id"], pc.cast(t["emb_hash"], pa.string()), sep
-            )
-        allr = allr.filter(pc.is_in(key(allr), value_set=key(g).combine_chunks()))
-        return allr
+        return allr.filter(pc.is_in(_key(allr), value_set=_key(g).combine_chunks()))
 
-    ds = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        delta_items, batch_format="pyarrow"
+    return _refresh_signed(
+        lake, name,
+        rows=rows,
+        bucket_of=lambda t: _cells_of(t, centroids),
+        merge=functools.partial(_merge_cell, dim=spec["dim"]),
+        write=functools.partial(_write_cell, lake.lake_dir, name),
+        rebuild=lambda version: _build_cells(lake, name, spec, centroids, version),
+        rows_per_doc=2,
+        max_delta_rows=max_delta_rows,
+        max_deltas=max_deltas,
     )
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    delta = pa.concat_tables(tables or [_rows_schema(dim).empty_table()])
-    if delta.num_rows > max_delta_rows:
-        cells_map = _build_cells(lake, name, spec, centroids, m_new.version)
-        _publish(lake.lake_dir, name, m_new.version, cells_map)
-        return _load_manifest(lake.lake_dir, name)
-
-    cells = _cells_of(delta, centroids) if delta.num_rows else np.empty(0, np.int32)
-    cells_map = {k: dict(v) for k, v in idx["buckets"].items()}
-    new_version = m_new.version
-
-    v_from = int(idx["version"])
-
-    @ray.remote(num_cpus=1)
-    def apply_cell(c: int, entry: dict | None, patch: pa.Table) -> tuple:
-        entry = dict(entry) if entry else {"file": None, "deltas": []}
-        rel = _write_cell(lake_dir, name, c, new_version, patch, kind="delta",
-                          from_version=v_from)
-        deltas = list(entry.get("deltas", [])) + [rel]
-        if len(deltas) > max_deltas:
-            parts = []
-            if entry.get("file"):
-                parts.append(pq.read_table(os.path.join(lake_dir, entry["file"])))
-            parts += [pq.read_table(os.path.join(lake_dir, dd)) for dd in deltas]
-            merged = _merge_cell(parts, dim)
-            if merged.num_rows == 0:
-                return c, None
-            base = _write_cell(lake_dir, name, c, new_version, merged,
-                               from_version=v_from)
-            return c, {"file": base, "deltas": []}
-        return c, {"file": entry.get("file"), "deltas": deltas}
-
-    order = np.argsort(cells, kind="stable")
-    ds_sorted = delta.take(pa.array(order))
-    sc = cells[order]
-    uniq, starts = np.unique(sc, return_index=True)
-    bounds = np.append(starts, len(sc))
-    refs = []
-    for i, c in enumerate(uniq):
-        patch = ds_sorted.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-        refs.append(apply_cell.remote(int(c), cells_map.get(str(int(c))), patch))
-    for c, entry in ray.get(refs):
-        if entry is None:
-            cells_map.pop(str(c), None)
-        else:
-            cells_map[str(c)] = entry
-    _publish(lake.lake_dir, name, new_version, cells_map)
-    return _load_manifest(lake.lake_dir, name)
 
 
 def ann_search(

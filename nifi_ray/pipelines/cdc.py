@@ -110,16 +110,23 @@ def _validate_events(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     return t.filter(pc.invert(bad)), t.filter(bad)
 
 
-def _write_quarantine(quarantine_dir: str, bad: pa.Table) -> str:
+def _write_quarantine(
+    quarantine_dir: str, bad: pa.Table, source: str | None = None
+) -> str:
     """Write quarantined rows as a CONTENT-addressed parquet part —
-    q-{md5(rows)}.parquet — so a retried task (or a re-replay of a
-    not-yet-watermarked file) rewrites the same file instead of
-    duplicating rows. Atomic rename, same protocol as data parts."""
+    q-{md5([source] + rows)}.parquet — so a retried task (or a re-replay
+    of a not-yet-watermarked file) rewrites the same file instead of
+    duplicating rows. ``source`` is the event file of null-LSN rows:
+    such a row has no log position, so its file is its only identity,
+    and the same malformed row re-sent in another file is kept again.
+    Atomic rename, same protocol as data parts."""
     import io as _io
 
     sink = _io.BytesIO()
     pq.write_table(bad.replace_schema_metadata(None), sink)
-    name = f"q-{hashlib.md5(sink.getvalue()).hexdigest()[:16]}.parquet"
+    h = hashlib.md5(source.encode() + b"\0" if source is not None else b"")
+    h.update(sink.getvalue())
+    name = f"q-{h.hexdigest()[:16]}.parquet"
     os.makedirs(quarantine_dir, exist_ok=True)
     out = os.path.join(quarantine_dir, name)
     tmp = out + f".tmp.{os.getpid()}"
@@ -280,14 +287,14 @@ def _cdc_map_task(
     plainly; otherwise the LSN range filter is pushed down to the row
     groups. That filter silently drops NULL-lsn rows, so
     files whose footer reports lsn nulls get a second is_null-filtered
-    read routed straight to quarantine."""
+    read routed straight to quarantine, one part per file."""
     import pyarrow.dataset as pads
 
     _limit_arrow_threads()
     filters = [("lsn", ">", lo)]
     if lsn_hi is not None:
         filters.append(("lsn", "<=", lsn_hi))
-    tables, null_lsn = [], []
+    tables = []
     for f in files:
         with pq.ParquetFile(f) as pf:
             proven, has_nulls = _lsn_footer(pf.metadata, lo, lsn_hi)
@@ -295,11 +302,7 @@ def _cdc_map_task(
         if has_nulls and quarantine_dir:
             bad = pads.dataset(f).to_table(filter=pc.field("lsn").is_null())
             if bad.num_rows:
-                null_lsn.append(bad)
-    if null_lsn:
-        _write_quarantine(
-            quarantine_dir, pa.concat_tables(null_lsn, promote_options="permissive")
-        )
+                _write_quarantine(quarantine_dir, bad, source=f)
     t = pa.concat_tables(tables, promote_options="permissive")
     t = _premerge(t, P, lo, quarantine_dir)
     return _scatter_by_partition(t, P, G)
@@ -518,6 +521,17 @@ def _diff_snapshots(old: pa.Table, new: pa.Table, key: str = "doc_id") -> pa.Tab
     return pa.concat_tables(parts)
 
 
+def _changed_only(old: pa.Table, new: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """``old`` and ``new`` restricted to the docs ``_diff_snapshots``
+    names as changed: derived-state work is then O(changed docs), and a
+    no-op write (identical image) drops out before any of it."""
+    ids = _diff_snapshots(old, new)["doc_id"].combine_chunks()
+    return (
+        old.filter(pc.is_in(old["doc_id"], value_set=ids)),
+        new.filter(pc.is_in(new["doc_id"], value_set=ids)),
+    )
+
+
 @ray.remote
 def _cdc_delta_task(
     lake_dir: str,
@@ -625,8 +639,10 @@ class TickStats:
 def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     """Partition-level diff plan between two retained manifests: one
     work item per NEW partition whose manifest entry (base file + delta
-    chain) changed — the shared pruning front-end of ``CDCLake.changes``
-    and ``matview.refresh_aggregate``.
+    chain) changed — the shared pruning front-end of every incremental
+    consumer (``CDCLake.changes``, ``matview.refresh_aggregate``,
+    ``dedup_index.refresh_dedup_index``, ``ann_index.refresh_ann_index``),
+    each of which runs the items through ``_diff_map``.
 
     Same-P: partitions with byte-identical entries are pruned with ZERO
     file I/O, so a tick that touched 10 of 4096 partitions yields 10
@@ -634,8 +650,8 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     aren't comparable, so every new partition gets an item whose
     ``old_files`` are the congruent old partitions that can hold its
     docs (hash partitioning is stable → doc→partition is congruence-
-    structured mod gcd); the consumer must filter old rows to the keys
-    the new partition owns (``partition_of(ids, p_new) == k``).
+    structured mod gcd); ``_diff_images`` filters their rows to the
+    keys the new partition owns (``partition_of(ids, p_new) == k``).
     """
     import math
 
@@ -658,10 +674,10 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
             # delta-append fast path: the new entry is the old entry
             # plus appended delta files (a pure merge-on-read tick run).
             # The docs whose image changed are EXACTLY the docs in the
-            # suffix deltas — consumers can read O(delta) bytes (suffix
-            # + doc_id-IN-filtered old images) instead of diffing two
-            # full snapshots. Compaction/COW change the base file and
-            # fall back to the full diff.
+            # suffix deltas — ``_diff_images`` reads O(delta) bytes
+            # (suffix + doc_id-IN-filtered old images) instead of
+            # diffing two full snapshots. Compaction/COW change the base
+            # file and fall back to the full diff.
             if (
                 e_old is not None
                 and e_new is not None
@@ -687,34 +703,68 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     return items, same_p
 
 
-def _suffix_changed_images(
-    lake_dir: str, row: dict, schema: pa.Schema
+def _diff_images(
+    lake_dir: str, row: dict, schema: pa.Schema, own_p: int | None
 ) -> tuple[pa.Table, pa.Table]:
-    """O(delta) old/new image extraction for a suffix-shaped diff item
-    (``_version_diff_plan`` set ``suffix_deltas``): the changed docs are
-    the docs named by the appended delta files. Reads the suffix deltas
-    (O(delta) bytes) plus the old snapshot's parts probed for those
-    doc_ids (a hash ``is_in`` over each decoded part, the same shape as
-    ``CDCLake.lookup``), NEVER two full snapshots.
+    """(old, new) state images of one ``_version_diff_plan`` item.
 
-    Returns (old_sub, new_sub): the changed docs' state images at the
-    two versions (insert → absent from old_sub; delete → absent from
-    new_sub). No-op writes may appear with identical images in both —
-    consumers that subtract contributions (matview, dedup_index) cancel
-    them exactly, so no image comparison is needed here."""
-    suffix = [_read_part(os.path.join(lake_dir, d)) for d in row["suffix_deltas"]]
-    ev = pa.concat_tables(suffix, promote_options="permissive")
-    ev = collapse_last_writer(ev)
-    old_sub = _read_partition(
-        lake_dir,
-        row["old_files"][0] if row["old_files"] else None,
-        row["old_deltas"][0] if row["old_deltas"] else [],
-        schema,
-        ev["doc_id"],
+    A suffix-shaped item reads O(delta) bytes: the appended delta files
+    name exactly the changed docs, so ``new`` is their collapsed live
+    images and ``old`` the old snapshot probed for those doc_ids (a
+    hash ``is_in`` over each decoded part, the same shape as
+    ``CDCLake.lookup``), never two full snapshots. Insert → absent from
+    ``old``; delete → absent from ``new``; a no-op write appears with
+    identical images in both (``_changed_only`` drops it).
+
+    Any other item reads the new partition and its congruent old
+    partitions. ``own_p`` (set when P changed) filters the old rows to
+    the docs new partition ``k`` owns: an old partition feeds
+    ``p_new/gcd`` new ones."""
+    if row.get("suffix_deltas") is not None:
+        suffix = [_read_part(os.path.join(lake_dir, d)) for d in row["suffix_deltas"]]
+        ev = collapse_last_writer(pa.concat_tables(suffix, promote_options="permissive"))
+        old = _read_partition(
+            lake_dir,
+            row["old_files"][0] if row["old_files"] else None,
+            row["old_deltas"][0] if row["old_deltas"] else [],
+            schema,
+            ev["doc_id"],
+        )
+        return old, conform(ev.filter(pc.not_equal(ev["op"], "D")), schema)
+    new = _read_partition(lake_dir, row["new_file"], row["new_deltas"], schema)
+    olds = [
+        _read_partition(lake_dir, f, d, schema)
+        for f, d in zip(row["old_files"], row["old_deltas"])
+    ]
+    old = (
+        pa.concat_tables(olds, promote_options="permissive")
+        if olds
+        else schema.empty_table()
     )
-    live = ev.filter(pc.not_equal(ev["op"], "D"))
-    new_sub = conform(live, schema)
-    return old_sub, new_sub
+    if own_p is not None and old.num_rows:
+        old = old.filter(pa.array(partition_of(old["doc_id"], own_p) == int(row["k"])))
+    return old, new
+
+
+def _diff_map(lake_dir: str, m_new, items: list[dict], same_p: bool, fn):
+    """The one diff driver of every incremental consumer: a Ray Dataset
+    with one block per ``_version_diff_plan`` item, holding
+    ``fn(old, new)`` of that item's ``_diff_images``. ``fn`` must return
+    Arrow tables of one schema."""
+    import ray.data as rd
+
+    schema = m_new.schema
+    own_p = None if same_p else m_new.num_partitions
+
+    def per_block(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            fn(*_diff_images(lake_dir, row, schema, own_p))
+            for row in batch.to_pylist()
+        ])
+
+    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+        per_block, batch_format="pyarrow"
+    )
 
 
 class CDCLake:
@@ -1129,15 +1179,17 @@ class CDCLake:
         the point of a change feed at 100 TB: downstream reads O(changed
         docs), never O(lake).
 
-        Scale shape: partitions whose manifest entry (base file + delta
-        list) is identical in both versions are pruned WITHOUT any file
-        I/O — a tick that touched 10 of 4096 partitions yields 10 diff
-        tasks. Across a rescale (P changed) entries aren't comparable;
-        each new-partition task then reads the P_old/gcd(P_old,P_new)
-        old partitions that can hold its docs (hash partitioning is
-        stable, so doc→partition is congruence-structured) and filters
-        to its own key range — worst case (coprime P) degrades to a
-        full cross-read, so rescale by multiples.
+        Scale shape: ``_version_diff_plan`` prunes partitions whose
+        manifest entry (base file + delta list) is identical in both
+        versions WITHOUT any file I/O, and ``_diff_map`` runs one diff
+        block per remaining item — a tick that touched 10 of 4096
+        partitions yields 10 diff blocks. Across a rescale (P changed)
+        entries aren't comparable; each new-partition block then reads
+        the P_old/gcd(P_old,P_new) old partitions that can hold its docs
+        (hash partitioning is stable, so doc→partition is
+        congruence-structured) and filters to its own key range — worst
+        case (coprime P) degrades to a full cross-read, so rescale by
+        multiples.
         """
         import ray.data as rd
 
@@ -1149,59 +1201,17 @@ class CDCLake:
                 f"in {self.lake_dir} (expired or never committed)"
             )
         items, same_p = _version_diff_plan(m_old, m_new)
-        p_new = m_new.num_partitions
-
-        schema = m_new.schema
-        out_schema = schema.empty_table().add_column(
-            0, "change_op", pa.array([], pa.string())
-        ).schema
         if not items:
-            empty = out_schema.empty_table()
+            empty = m_new.schema.empty_table().add_column(
+                0, "change_op", pa.array([], pa.string())
+            )
             return rd.from_arrow(empty.select(columns) if columns else empty)
 
-        lake_dir = self.lake_dir
-
-        def diff_items(batch: pa.Table) -> pa.Table:
-            outs = []
-            for row in batch.to_pylist():
-                k = int(row["k"])
-                if row.get("suffix_deltas") is not None:
-                    # delta-append fast path: read only the appended
-                    # delta files + point reads of those docs' old
-                    # images (O(delta) bytes, never two full
-                    # snapshots); _diff_snapshots still drops no-op
-                    # writes by image comparison
-                    old_t, new_t = _suffix_changed_images(lake_dir, row, schema)
-                else:
-                    new_t = _read_partition(
-                        lake_dir, row["new_file"], row["new_deltas"], schema
-                    )
-                    olds = [
-                        _read_partition(lake_dir, f, d, schema)
-                        for f, d in zip(row["old_files"], row["old_deltas"])
-                    ]
-                    old_t = (
-                        pa.concat_tables(olds, promote_options="permissive")
-                        if olds
-                        else schema.empty_table()
-                    )
-                    if not same_p and old_t.num_rows:
-                        # keep only docs this NEW partition owns (an old
-                        # partition feeds p_new/g new partitions)
-                        old_t = old_t.filter(
-                            pa.array(partition_of(old_t["doc_id"], p_new) == k)
-                        )
-                outs.append(_diff_snapshots(old_t, new_t))
-            out = (
-                pa.concat_tables(outs)
-                if outs
-                else out_schema.empty_table()
-            )
+        def diff(old: pa.Table, new: pa.Table) -> pa.Table:
+            out = _diff_snapshots(old, new)
             return out.select(columns) if columns else out
 
-        return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-            diff_items, batch_format="pyarrow"
-        )
+        return _diff_map(self.lake_dir, m_new, items, same_p, diff)
 
     # ------------------------------------------- materialized aggregates
     def create_aggregate(

@@ -18,8 +18,12 @@ Index layout (under the lake root — versioned like everything else):
     _indexes/{name}/spec.json                     hasher parameters
     _indexes/{name}/idx_v{V:06d}.json             manifest per reflected
                                                   lake version V
-    _indexes/{name}/b={B:04d}/part-v{V:06d}.parquet   bucket files of
-        (doc_id, band_id, band_hash) rows, bucket B = band_hash mod Q
+    _indexes/{name}/b={B:04d}/{part,delta}-v{V:06d}[-from{F:06d}].parquet
+        bucket files of (doc_id, band_id, band_hash, sign) rows, bucket
+        B = band_hash mod Q. A build writes ``part-v{V}`` bases; a
+        refresh from index version F writes ``delta-v{V}-fromF``
+        patches and, once a chain grows past ``max_deltas``, folds it
+        into a ``part-v{V}-fromF`` base.
 
 Maintenance math: per touched lake partition, band rows of the old and
 new snapshots carry signs −/+; rows of unchanged docs cancel exactly in
@@ -29,6 +33,11 @@ file; updates as −old/+new). A refresh whose surviving delta exceeds
 ``max_delta_rows`` falls back to a full rebuild — the honest answer
 when a tick rewrote most of the lake.
 
+The refresh protocol over signed buckets (``_refresh_signed``) is
+shared with the IVF ANN index (ann_index.py): each index supplies only
+its kernels — patch rows from a diff item's (old, new) images, the
+bucket of a row, the merge, the file writer and the rebuild.
+
 Signatures use TokenMinHasher (stages/dedup.py): shingle units are the
 lake's token ids directly — no text, no string hashing; the scalar
 oracle (oracle_expected.expected_streaming_neardup) replays the same
@@ -37,6 +46,7 @@ arithmetic with python ints.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -45,6 +55,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..stages.dedup import TokenMinHasher
 from ..state.manifest import publish_part
@@ -82,14 +93,16 @@ def _load_spec(lake_dir: str, name: str) -> dict:
 
 
 def load_index_manifest(lake_dir: str, name: str, version: int | None = None) -> dict:
+    """An index's manifest at a reflected lake ``version`` (default: its
+    latest); raises when that version is not retained."""
     vs = index_versions(lake_dir, name)
     if not vs:
-        raise FileNotFoundError(f"dedup index {name!r}: not created")
+        raise FileNotFoundError(f"index {name!r}: not created")
     if version is None:
         version = vs[-1]
     if version not in vs:
         raise FileNotFoundError(
-            f"dedup index {name!r}: no snapshot at lake version {version} (have {vs})"
+            f"index {name!r}: no snapshot at lake version {version} (have {vs})"
         )
     with open(os.path.join(_dir(lake_dir, name), f"idx_v{version:06d}.json")) as f:
         return json.load(f)
@@ -210,16 +223,120 @@ def _norm_entry(entry) -> dict | None:
     return {"file": entry, "deltas": []}
 
 
+def _entry_parts(lake_dir: str, entry) -> list[pa.Table]:
+    """The base and delta files of one bucket entry (either index)."""
+    entry = _norm_entry(entry) or {}
+    rels = ([entry["file"]] if entry.get("file") else []) + list(entry.get("deltas", []))
+    return [pq.read_table(os.path.join(lake_dir, rel)) for rel in rels]
+
+
 def _read_bucket(lake_dir: str, entry) -> pa.Table:
-    entry = _norm_entry(entry)
-    if not entry:
-        return ROWS_SCHEMA.empty_table()
-    parts = []
-    if entry.get("file"):
-        parts.append(pq.read_table(os.path.join(lake_dir, entry["file"])))
-    for rel in entry.get("deltas", []):
-        parts.append(pq.read_table(os.path.join(lake_dir, rel)))
-    return _merge_bucket(parts)
+    return _merge_bucket(_entry_parts(lake_dir, entry))
+
+
+@ray.remote(num_cpus=1)
+def _patch_bucket(
+    lake_dir: str, b: int, entry: dict | None, patch: pa.Table,
+    write, merge, version: int, v_from: int, max_deltas: int,
+) -> tuple:
+    """Append one refresh's signed patch to bucket ``b`` as a DELTA file
+    — O(patch) bytes, the bucket base is NOT rewritten (write
+    amplification at uniform churn would otherwise equal a full index
+    rewrite per tick). Fold base + deltas into a new base (``merge``)
+    only when the chain grows past ``max_deltas`` — the lake's
+    merge-on-read policy applied to its own index. Returns ``(b, entry)``;
+    ``None`` drops a bucket left empty."""
+    entry = _norm_entry(entry) or {}
+    rel = write(b, version, patch, kind="delta", from_version=v_from)
+    entry = {"file": entry.get("file"), "deltas": [*entry.get("deltas", []), rel]}
+    if len(entry["deltas"]) <= max_deltas:
+        return b, entry
+    merged = merge(_entry_parts(lake_dir, entry))
+    if merged.num_rows == 0:
+        return b, None
+    return b, {"file": write(b, version, merged, from_version=v_from), "deltas": []}
+
+
+def _refresh_signed(
+    lake, name: str, *, rows, bucket_of, merge, write, rebuild,
+    rows_per_doc: int, max_delta_rows: int, max_deltas: int,
+) -> dict:
+    """Advance a signed-bucket index to the lake's latest version — the
+    one refresh protocol of both maintained indexes:
+
+    1. the index's lake version was expired → ``rebuild(version)``;
+    2. no diff item → republish the buckets by reference;
+    3. every item suffix-shaped and the appended delta files' footer row
+       counts × ``rows_per_doc`` over ``max_delta_rows`` → rebuild,
+       decided before any diff, hash or patch work (a dense tick's
+       refresh was otherwise ~2× the rebuild it falls back to);
+    4. ``rows(old, new)`` per item through ``cdc._diff_map`` — signed
+       rows of the changed docs only; more than ``max_delta_rows`` →
+       rebuild (never silent: the cost class changes);
+    5. one stable sort by ``bucket_of(rows)`` and one ``_patch_bucket``
+       task per touched bucket — contiguous slices, not a filter of the
+       whole delta per bucket; untouched buckets carry their files
+       forward by reference;
+    6. publish."""
+    from .cdc import _diff_map, _version_diff_plan
+
+    lake_dir = lake.lake_dir
+    m_new = lake.manifest()
+    if m_new is None:
+        raise FileNotFoundError(f"{lake_dir}: no committed manifest")
+    idx = load_index_manifest(lake_dir, name)
+    v_from = idx["version"]
+    if v_from >= m_new.version:
+        return idx
+
+    def publish(buckets: dict) -> dict:
+        _publish(lake_dir, name, m_new.version, buckets)
+        return load_index_manifest(lake_dir, name)
+
+    try:
+        m_old = lake.manifest(v_from)
+    except FileNotFoundError:
+        m_old = None
+    if m_old is None:
+        return publish(rebuild(m_new.version))
+    items, same_p = _version_diff_plan(m_old, m_new)
+    if not items:
+        return publish(dict(idx["buckets"]))
+    if all(r["suffix_deltas"] is not None for r in items):
+        est = sum(
+            pq.read_metadata(os.path.join(lake_dir, d)).num_rows
+            for r in items
+            for d in r["suffix_deltas"]
+        )
+        if est * rows_per_doc > max_delta_rows:
+            return publish(rebuild(m_new.version))
+
+    ds = _diff_map(lake_dir, m_new, items, same_p, rows)
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if sum(t.num_rows for t in tables) > max_delta_rows:
+        return publish(rebuild(m_new.version))
+    buckets = {k: _norm_entry(v) for k, v in idx["buckets"].items()}
+    if tables:
+        delta = pa.concat_tables(tables)
+        ids = bucket_of(delta)
+        order = np.argsort(ids, kind="stable")
+        delta, ids = delta.take(pa.array(order)), ids[order]
+        uniq, starts = np.unique(ids, return_index=True)
+        bounds = np.append(starts, len(ids))
+        refs = [
+            _patch_bucket.remote(
+                lake_dir, int(b), buckets.get(str(int(b))),
+                delta.slice(int(lo), int(hi - lo)),
+                write, merge, m_new.version, v_from, max_deltas,
+            )
+            for b, lo, hi in zip(uniq, bounds[:-1], bounds[1:])
+        ]
+        for b, entry in ray.get(refs):
+            if entry is None:
+                buckets.pop(str(b), None)
+            else:
+                buckets[str(b)] = entry
+    return publish(buckets)
 
 
 def create_dedup_index(
@@ -298,119 +415,21 @@ def _build_buckets(lake, name: str, spec: dict, version: int) -> dict:
 def refresh_dedup_index(
     lake, name: str, max_delta_rows: int = 5_000_000, max_deltas: int = 8
 ) -> dict:
-    """Advance the index to the lake's latest version: manifest-diff the
-    touched lake partitions, emit signed band rows with local
-    cancellation (unchanged docs vanish before anything ships), apply
-    +/− rows to exactly the buckets they hash to, publish. Untouched
-    buckets carry their existing files forward by reference."""
-    import ray
+    """Advance the index to the lake's latest version (``_refresh_signed``):
+    the changed docs' band rows carry signs −old/+new and cancel
+    locally (a doc whose tokens did not change ships nothing), then
+    patch exactly the buckets they hash to."""
+    from .cdc import _changed_only
 
-    from .cdc import (
-        _diff_snapshots,
-        _read_partition,
-        _suffix_changed_images,
-        _version_diff_plan,
-    )
-
-    m_new = lake.manifest()
-    if m_new is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
-    idx = load_index_manifest(lake.lake_dir, name)
-    v_from = idx["version"]
-    if v_from >= m_new.version:
-        return idx
     spec = _load_spec(lake.lake_dir, name)
-    try:
-        m_old = lake.manifest(v_from)
-    except FileNotFoundError:
-        m_old = None
-    if m_old is None:
-        buckets = _build_buckets(lake, name, spec, m_new.version)
-        _publish(lake.lake_dir, name, m_new.version, buckets)
-        return load_index_manifest(lake.lake_dir, name)
-
-    items, same_p = _version_diff_plan(m_old, m_new)
-    if not items:
-        _publish(lake.lake_dir, name, m_new.version, dict(idx["buckets"]))
-        return load_index_manifest(lake.lake_dir, name)
-
-    # early rebuild decision from FOOTER METADATA only: when every diff
-    # item is suffix-shaped, the appended delta files' row counts bound
-    # the changed-doc count — if the implied signed-row volume already
-    # exceeds max_delta_rows, the tick rewrote most of the lake and a
-    # rebuild is cheaper than diffing + hashing + per-bucket patching.
-    # Deciding here skips ALL of that work (a dense tick's refresh was
-    # otherwise ~2× the cost of the rebuild it would fall back to).
-    if all(row.get("suffix_deltas") is not None for row in items):
-        est_changed = sum(
-            pq.read_metadata(os.path.join(lake.lake_dir, d)).num_rows
-            for row in items
-            for d in row["suffix_deltas"]
-        )
-        if est_changed * int(spec["bands"]) * 2 > max_delta_rows:
-            buckets = _build_buckets(lake, name, spec, m_new.version)
-            _publish(lake.lake_dir, name, m_new.version, buckets)
-            return load_index_manifest(lake.lake_dir, name)
-
-    import ray.data as rd
-
-    lake_dir = lake.lake_dir
-    schema = m_new.schema
-    p_new = m_new.num_partitions
     hasher = _hasher(spec)
+    q = spec["num_buckets"]
 
-
-    def delta_items(batch: pa.Table) -> pa.Table:
-        from ..util.hashing import partition_of
-
-        outs = []
-        for row in batch.to_pylist():
-            k = int(row["k"])
-            if row.get("suffix_deltas") is not None:
-                # delta-append fast path: O(suffix bytes + changed-doc
-                # point reads) — the refresh never touches full
-                # snapshots when the span was pure merge-on-read ticks
-                old_sub, new_sub = _suffix_changed_images(lake_dir, row, schema)
-            else:
-                new_t = _read_partition(
-                    lake_dir, row["new_file"], row["new_deltas"], schema
-                )
-                olds = [
-                    _read_partition(lake_dir, f, dd, schema)
-                    for f, dd in zip(row["old_files"], row["old_deltas"])
-                ]
-                old_t = (
-                    pa.concat_tables(olds, promote_options="permissive")
-                    if olds
-                    else schema.empty_table()
-                )
-                if not same_p and old_t.num_rows:
-                    old_t = old_t.filter(
-                        pa.array(partition_of(old_t["doc_id"], p_new) == k)
-                    )
-                # signature work is O(CHANGED docs), not O(partition):
-                # the change-feed diff kernel names exactly the docs
-                # whose image changed (no-op writes excluded); only
-                # their old/new images get hashed
-                diff = _diff_snapshots(old_t, new_t)
-                if diff.num_rows == 0:
-                    continue
-                ids = diff["doc_id"].combine_chunks()
-                old_sub = old_t.filter(
-                    pc.is_in(old_t["doc_id"].combine_chunks(), value_set=ids)
-                )
-                new_sub = new_t.filter(
-                    pc.is_in(new_t["doc_id"].combine_chunks(), value_set=ids)
-                )
-            for sub, sign in ((new_sub, 1), (old_sub, -1)):
-                r = _band_rows(sub, hasher)
-                outs.append(r.append_column("sign", pa.array(
-                    np.full(r.num_rows, sign, dtype=np.int64))))
-        if not outs:
-            return SIGNED_SCHEMA.empty_table()
-        # residual cancellation (belt-and-braces; the diff already
-        # excluded unchanged docs)
-        allr = pa.concat_tables(outs)
+    def rows(old: pa.Table, new: pa.Table) -> pa.Table:
+        old, new = _changed_only(old, new)
+        allr = pa.concat_tables(
+            [_signed(_band_rows(new, hasher), 1), _signed(_band_rows(old, hasher), -1)]
+        )
         g = allr.group_by(["doc_id", "band_id", "band_hash"]).aggregate(
             [("sign", "sum")]
         )
@@ -425,68 +444,17 @@ def refresh_dedup_index(
             schema=SIGNED_SCHEMA,
         )
 
-    ds = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        delta_items, batch_format="pyarrow"
+    return _refresh_signed(
+        lake, name,
+        rows=rows,
+        bucket_of=lambda t: _bucket_of(t["band_hash"], q),
+        merge=lambda parts: _signed(_merge_bucket(parts), 1),
+        write=functools.partial(_write_bucket_file, lake.lake_dir, name),
+        rebuild=lambda version: _build_buckets(lake, name, spec, version),
+        rows_per_doc=2 * int(spec["bands"]),
+        max_delta_rows=max_delta_rows,
+        max_deltas=max_deltas,
     )
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    delta = pa.concat_tables(tables or [SIGNED_SCHEMA.empty_table()])
-    if delta.num_rows > max_delta_rows:
-        # the tick rewrote most of the lake — a rebuild is cheaper than
-        # per-bucket patching; never silent (cost class changes)
-        buckets = _build_buckets(lake, name, spec, m_new.version)
-        _publish(lake.lake_dir, name, m_new.version, buckets)
-        return load_index_manifest(lake.lake_dir, name)
-
-    q = spec["num_buckets"]
-    bucket_ids = _bucket_of(delta["band_hash"], q)
-    buckets_map = {k: _norm_entry(v) for k, v in idx["buckets"].items()}
-    new_version = m_new.version
-
-    @ray.remote(num_cpus=1)
-    def apply_bucket(b: int, entry: dict | None, patch: pa.Table) -> tuple:
-        """Append the tick's signed patch as a DELTA file — O(patch)
-        bytes, the bucket base is NOT rewritten (write amplification at
-        uniform churn would otherwise equal a full index rewrite per
-        tick). Compact (fold base+deltas into a new base) only when the
-        delta chain exceeds ``max_deltas`` — the lake's merge-on-read
-        policy applied to its own index."""
-        entry = dict(entry) if entry else {"file": None, "deltas": []}
-        rel = _write_bucket_file(
-            lake_dir, name, b, new_version, patch, kind="delta", from_version=v_from
-        )
-        deltas = list(entry.get("deltas", [])) + [rel]
-        if len(deltas) > max_deltas:
-            parts = []
-            if entry.get("file"):
-                parts.append(pq.read_table(os.path.join(lake_dir, entry["file"])))
-            parts += [pq.read_table(os.path.join(lake_dir, dd)) for dd in deltas]
-            merged = _merge_bucket(parts)
-            if merged.num_rows == 0:
-                return b, None
-            base = _write_bucket_file(
-                lake_dir, name, b, new_version, _signed(merged, 1), from_version=v_from
-            )
-            return b, {"file": base, "deltas": []}
-        return b, {"file": entry.get("file"), "deltas": deltas}
-
-    # one stable sort + contiguous slices per bucket — NOT a filter()
-    # scan of the whole delta per bucket (O(delta) total, not O(delta×Q))
-    order = np.argsort(bucket_ids, kind="stable")
-    delta_sorted = delta.take(pa.array(order))
-    sb = bucket_ids[order]
-    uniq, starts = np.unique(sb, return_index=True)
-    bounds = np.append(starts, len(sb))
-    refs = []
-    for i, b in enumerate(uniq):
-        patch = delta_sorted.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-        refs.append(apply_bucket.remote(int(b), buckets_map.get(str(int(b))), patch))
-    for b, entry in ray.get(refs):
-        if entry is None:
-            buckets_map.pop(str(b), None)
-        else:
-            buckets_map[str(b)] = entry
-    _publish(lake.lake_dir, name, m_new.version, buckets_map)
-    return load_index_manifest(lake.lake_dir, name)
 
 
 def read_index_rows(lake, name: str, version: int | None = None) -> pa.Table:
@@ -522,8 +490,6 @@ def candidate_pairs_for(
     just the pair docs — partition-pruned) and a ``jaccard`` column is
     added. Degenerate LSH keys with more than ``max_per_key`` index
     rows are dropped with a logged count (never silently O(n²))."""
-    import ray
-
     idx = load_index_manifest(lake.lake_dir, name, version)
     spec = _load_spec(lake.lake_dir, name)
     hasher = _hasher(spec)

@@ -268,7 +268,9 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
     the tiny grouped delta into the previous snapshot, publish. Falls
     back to one full recompute when the previous reflected version has
     been expired from the manifest chain."""
-    from .cdc import _read_partition, _suffix_changed_images, _version_diff_plan
+    import ray
+
+    from .cdc import _diff_map, _version_diff_plan
 
     m_new = lake.manifest()
     if m_new is None:
@@ -300,50 +302,15 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
         _publish(lake.lake_dir, name, m_new.version, prev)
         return read_aggregate(lake, name)
 
-    import ray.data as rd
+    def delta(old: pa.Table, new: pa.Table) -> pa.Table:
+        # agg(new) − agg(old); a suffix item's images are only the
+        # changed docs, whose unchanged neighbours would cancel anyway
+        return pa.concat_tables([
+            _signed_partial(new, group_by, sums, derive, target, 1),
+            _signed_partial(old, group_by, sums, derive, target, -1),
+        ])
 
-    lake_dir = lake.lake_dir
-    schema = m_new.schema
-    p_new = m_new.num_partitions
-
-    def delta_items(batch: pa.Table) -> pa.Table:
-        from ..util.hashing import partition_of
-
-        outs = []
-        for row in batch.to_pylist():
-            k = int(row["k"])
-            if row.get("suffix_deltas") is not None:
-                # delta-append fast path: only the changed docs' images
-                # are read (suffix deltas + doc_id-IN-filtered old
-                # snapshot) — unchanged docs' contributions would cancel
-                # in agg(new)−agg(old) anyway, so skip reading them
-                old_t, new_t = _suffix_changed_images(lake_dir, row, schema)
-            else:
-                new_t = _read_partition(
-                    lake_dir, row["new_file"], row["new_deltas"], schema
-                )
-                olds = [
-                    _read_partition(lake_dir, f, d, schema)
-                    for f, d in zip(row["old_files"], row["old_deltas"])
-                ]
-                old_t = (
-                    pa.concat_tables(olds, promote_options="permissive")
-                    if olds
-                    else schema.empty_table()
-                )
-                if not same_p and old_t.num_rows:
-                    old_t = old_t.filter(
-                        pa.array(partition_of(old_t["doc_id"], p_new) == k)
-                    )
-            outs.append(_signed_partial(new_t, group_by, sums, derive, target, 1))
-            outs.append(_signed_partial(old_t, group_by, sums, derive, target, -1))
-        return pa.concat_tables(outs) if outs else target.empty_table()
-
-    import ray
-
-    ds = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        delta_items, batch_format="pyarrow"
-    )
+    ds = _diff_map(lake.lake_dir, m_new, items, same_p, delta)
     tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     deltas = pa.concat_tables(tables or [target.empty_table()])
     out = _combine(pa.concat_tables([prev.cast(target), deltas]), group_by, sums)

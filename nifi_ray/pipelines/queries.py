@@ -12,6 +12,7 @@ cannot flip the value hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -39,6 +40,7 @@ from ..stages.quality import (
 from ..stages.route import stamp_route
 from ..stages.similarity import knn_brute_force
 from ..stages.split_merge import merge_ordered, split_text
+from ..util.hashing import source_key
 
 
 def _pool() -> tuple[int, int]:
@@ -2730,19 +2732,24 @@ def q_execute_sql(sf_dir: str):
     return _round(agg, {"sum_val": 2})
 
 
-# Bump when replay/apply/summarize semantics change: the lake workdir is
-# keyed by this + the GenConfig fingerprint, so a stale-but-valid lake
-# built by older code is never silently reused (ADVICE r1).
-_CDC_QUERY_REV = 4  # r4: starts[nz] hash fix + empty-token fixture rows (p_empty)
+@functools.lru_cache(maxsize=None)
+def _code_key() -> str:
+    """Short hash of every ``nifi_ray/**/*.py`` source: keys the graded
+    lake workdirs, so a lake that other code built (or left half-way)
+    is never silently reused and every code change re-runs replay and
+    the refresh paths."""
+    import glob
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return source_key(glob.glob(os.path.join(root, "**", "*.py"), recursive=True))
 
 
 def cdc_fixture(sf_tag: str):
     """Deterministic CDC fixture dirs for a sf tag: (cfg, base_dir,
     ev_dir, lake_dir). Data dirs are keyed by the GenConfig fingerprint
     (content is a pure function of cfg); the lake dir additionally by
-    the code revision. Writes base/events parquet if absent (pure
-    pyarrow — callable with or without Ray)."""
-    import hashlib
+    the package sources (``_code_key``). Writes base/events parquet if
+    absent (pure pyarrow — callable with or without Ray)."""
     import tempfile
 
     from ..gen import GenConfig, write_base, write_events
@@ -2755,7 +2762,7 @@ def cdc_fixture(sf_tag: str):
     work = os.path.join(tempfile.gettempdir(), f"nifi_ray_cdc_{sf_tag}_{fp}")
     base_dir = os.path.join(work, "base")
     ev_dir = os.path.join(work, "events")
-    lake_dir = os.path.join(work, f"lake_r{_CDC_QUERY_REV}")
+    lake_dir = os.path.join(work, f"lake_{_code_key()}")
     write_base(cfg, base_dir, shards=4)
     write_events(cfg, ev_dir, shards=8)
     return cfg, base_dir, ev_dir, lake_dir
@@ -3650,8 +3657,8 @@ def q_cdc_consume(sf_dir: str):
     sf_tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
     cfg, base_dir, _ev_dir, lake_dir = cdc_fixture(sf_tag)
     work = os.path.dirname(lake_dir)
-    topic_dir = os.path.join(work, f"topic_r{_CDC_QUERY_REV}")
-    lake_dir = os.path.join(work, f"consume_lake_r{_CDC_QUERY_REV}")
+    topic_dir = os.path.join(work, f"topic_{_code_key()}")
+    lake_dir = os.path.join(work, f"consume_lake_{_code_key()}")
 
     def build():
         if not os.path.isdir(topic_dir):

@@ -234,3 +234,18 @@ def row_image_hash(table: pa.Table, cols: list[str]) -> np.ndarray:
             ch[null_mask] = _U64_NULL
         h = mix_u64(h * np.uint64(0x94D049BB133111EB) ^ ch ^ np.uint64(ci * 0x9E3779B9))
     return h
+
+
+def source_key(paths: list[str]) -> str:
+    """Short content hash of the files at ``paths``, whatever their
+    order: a cache key that changes whenever a byte of any of them does
+    (so results built by other code are never silently reused)."""
+    import hashlib
+
+    h = hashlib.md5()
+    for p in sorted(paths):
+        with open(p, "rb") as f:
+            data = f.read()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()[:10]

@@ -145,3 +145,50 @@ def test_delta_chain_compacts(ray_session, tmp_path):
         scratch.replay(str(tmp_path / f"t{tick}"), mode="delta")
     create_ann_index(scratch, "ann", **KW)
     assert _index_docs(lake) == _index_docs(scratch)
+
+
+def test_refresh_through_cow_tick_and_rescale(ray_session, tmp_path):
+    """A COW tick (full-partition diff) and a rescale from 2 to 3
+    partitions (cross-P diff) each refresh to the state a fresh build
+    indexes. The ticks carry an insert, a delete, real updates and a
+    no-op write (identical tokens)."""
+    bd = _mk_base(tmp_path)
+    lake = CDCLake(str(tmp_path / "lake"))
+    lake.init_from(bd, num_partitions=2)
+    create_ann_index(lake, "ann", **KW)
+    e1 = _ev(
+        tmp_path, "e1",
+        [1, 2, 3, 4, 5],
+        ["U", "U", "D", "I", "U"],
+        ["d000", "d004", "d007", "new0", "d010"],
+        [[900, 901], [902], [1], [910, 911], [30, 31, 32, 33]],
+    )
+    e2 = _ev(
+        tmp_path, "e2",
+        [6, 7, 8, 9],
+        ["U", "D", "I", "U"],
+        ["d001", "d005", "new1", "new0"],
+        [[920, 921], [1], [930], [940, 941, 942]],
+    )
+
+    def fresh(n, *evs):
+        scratch = CDCLake(str(tmp_path / f"fresh{n}"))
+        scratch.init_from(bd, num_partitions=2)
+        for ed in evs:
+            scratch.replay(ed)
+        create_ann_index(scratch, "ann", **KW)
+        return _index_docs(scratch)
+
+    lake.replay(e1)  # COW: full-partition diff items
+    refresh_ann_index(lake, "ann")
+    got = _index_docs(lake)
+    assert "d007" not in got and "new0" in got
+    assert got == fresh(1, e1)
+
+    lake.rescale(3)
+    lake.replay(e2, mode="delta")
+    assert lake.manifest().num_partitions == 3
+    refresh_ann_index(lake, "ann")  # cross-P diff from the P=2 version
+    got = _index_docs(lake)
+    assert "d005" not in got and "new1" in got
+    assert got == fresh(2, e1, e2)

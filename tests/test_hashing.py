@@ -140,3 +140,19 @@ def test_minhash_batch_composition_invariant():
     for i, x in enumerate(texts):
         single = sigs([x])
         assert (whole[i] == single[0]).all(), i
+
+
+def test_source_key_follows_file_bytes(tmp_path):
+    """The cache key of a set of source files changes with any byte of
+    any of them, and not with the order they are listed in."""
+    from nifi_ray.util.hashing import source_key
+
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("x = 1\n")
+    b.write_text("y = 2\n")
+    key = source_key([str(a), str(b)])
+    assert key == source_key([str(b), str(a)])
+    b.write_text("y = 3\n")
+    assert source_key([str(a), str(b)]) != key
+    b.write_text("y = 2\n")
+    assert source_key([str(a), str(b)]) == key

@@ -119,3 +119,20 @@ def test_quarantine_count_is_this_ticks_rows(lake_dirs):
         assert st.quarantined == 3
         assert lake.manifest().lineage[-1]["quarantined"] == 3
     assert lake.quarantine().num_rows == 6
+
+
+def test_null_lsn_rows_are_kept_per_event_file(lake_dirs):
+    """A null-LSN row has no log position, so its event file is its only
+    identity: the same malformed row re-sent in a later file is counted
+    and kept again, not folded into the earlier file's part."""
+    lake, ev_dir, tmp_path = lake_dirs
+    lake.replay(ev_dir)
+    for i in range(2):
+        bad_dir = str(tmp_path / f"bad{i}")
+        os.makedirs(bad_dir)
+        pq.write_table(_bad_events(CFG.n_events + 10 * (i + 1)), f"{bad_dir}/m.parquet")
+        st = lake.replay(bad_dir)
+        assert st.quarantined == 3
+    q = lake.quarantine()
+    assert q.num_rows == 6
+    assert q["doc_id"].to_pylist().count("nolsn") == 2
