@@ -7,7 +7,8 @@ sequential scalar Python (per-doc loops, python-int arithmetic — a
 deliberately different code path from the vectorized/distributed
 engine), mirroring how nifi_ray/oracle.py is the golden reference for
 CDC replay. ``expected_oracle_sql(sf_dir)`` materializes each expected
-table as parquet under /tmp (keyed by sf + revision) and returns
+table as parquet under ``tempfile.gettempdir()`` (keyed by sf + source
+hash) and returns
 DuckDB SQL reading it — giving the driver's correctness gate a real
 oracle for queries SQL cannot express.
 """
@@ -15,6 +16,7 @@ oracle for queries SQL cannot express.
 from __future__ import annotations
 
 import os
+import tempfile
 import zlib
 
 import numpy as np
@@ -23,7 +25,7 @@ import pyarrow.parquet as pq
 
 from .util.hashing import source_key
 
-# Short hash of this file's bytes — keys the /tmp cache, so editing any
+# Short hash of this file's bytes — keys the temp-dir cache, so editing any
 # expected-value implementation rebuilds the tables it caches.
 _REV = source_key([__file__])
 
@@ -1891,7 +1893,7 @@ def expected_table_path(name: str, sf_dir: str) -> str:
     lint previously called builders directly and re-ran every scalar
     dual (incl. the pure-Python JPEG decodes) on EVERY pytest run."""
     sf_tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    out_dir = os.path.join("/tmp", f"nifi_ray_expected_{sf_tag}_r{_REV}")
+    out_dir = os.path.join(tempfile.gettempdir(), f"nifi_ray_expected_{sf_tag}_r{_REV}")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.parquet")
     if not os.path.exists(path):

@@ -436,14 +436,22 @@ def _cdc_apply_task(
     return out
 
 
-def _read_part(path: str, ids: pa.Array | pa.ChunkedArray | None = None) -> pa.Table:
+def _read_part(
+    path: str,
+    ids: pa.Array | pa.ChunkedArray | None = None,
+    columns: list[str] | None = None,
+) -> pa.Table:
     """One parquet part, decoded whole through its ``ParquetFile``. A
     lake part is a single row group, so a scanner with a key filter
     would prune nothing and only pay for its own set-up. ``ids``
     (Arrow strings) keeps the rows whose ``doc_id`` is among them, by a
-    hash ``is_in`` probe of the decoded part."""
+    hash ``is_in`` probe of the decoded part. ``columns`` decodes only
+    those of them the part has: a part written before a schema change
+    lacks its columns."""
     with pq.ParquetFile(path) as pf:
-        t = pf.read()
+        if columns is not None:
+            columns = [c for c in columns if c in pf.schema_arrow.names]
+        t = pf.read(columns=columns)
     return t if ids is None else t.filter(pc.is_in(t["doc_id"], value_set=ids))
 
 
@@ -603,6 +611,34 @@ def _lookup_task(lake_dir: str, schema: pa.Schema, items: list[tuple]) -> pa.Tab
         else schema.empty_table()
     )
     return _merge_partition(base, deltas, schema)
+
+
+@ray.remote
+def _read_task(
+    lake_dir: str, schema: pa.Schema, items: list[tuple],
+    columns: list[str] | None, filters: list | None,
+) -> pa.Table:
+    """Scan a group of ``(file, deltas)`` partitions for ``CDCLake.read``
+    into one table of the manifest schema, projected to ``columns``.
+    Under a predicate the base part goes through a scanner given the
+    manifest schema, so footer stats can skip it and a column added
+    after it was written reads as null; otherwise a partition without
+    deltas decodes only the projected columns. The predicate re-applies
+    after the LWW overlay: a delta image can move a doc across it."""
+    _limit_arrow_threads()
+    expr = pq.filters_to_expression(filters) if filters else None
+    tables = []
+    for file, delta_rels in items:
+        path = os.path.join(lake_dir, file)
+        if expr is not None:
+            base = pq.read_table(path, filters=expr, schema=schema)
+        else:
+            base = _read_part(path, columns=None if delta_rels else columns)
+        deltas = [_read_part(os.path.join(lake_dir, d)) for d in delta_rels]
+        t = _merge_partition(base, deltas, schema)
+        t = t if expr is None else t.filter(expr)
+        tables.append(t.select(columns) if columns else t)
+    return pa.concat_tables(tables)
 
 
 @ray.remote
@@ -849,7 +885,13 @@ class CDCLake:
         version: int | None = None,
         filters: list[tuple] | None = None,
     ) -> "ray.data.Dataset":
-        """Dataset over the lake's committed state.
+        """Dataset over the lake's committed state, one block per scan
+        task. Eager: the call takes the manifest snapshot and deals its
+        partitions into ≤ CPUs ``_read_task`` Ray tasks, copy-on-write
+        and merge-on-read lakes alike; the blocks hold the projected
+        lake in the object store (Ray spills what does not fit) and
+        carry the manifest schema, whatever schema a part was written
+        with.
 
         ``version``: time travel to an older committed manifest (kept
         until ``expire_versions`` drops it) — the COW layout makes every
@@ -857,66 +899,25 @@ class CDCLake:
         isolation; the manifest IS the snapshot).
 
         ``filters``: parquet-style predicate (tuple DNF, the
-        ``pyarrow.parquet`` filters vocabulary) PUSHED INTO the scan
-        — row groups whose column stats exclude the predicate never
-        leave storage. On a merge-on-read lake the pushdown stays
-        correct under updates that move a doc across the predicate
-        boundary: delta rows carry full images and LWW-override base
-        rows, so base files scan WITH the pushdown, deltas scan in
-        full (they are tick-sized), and the predicate re-applies after
-        the overlay (a base row whose doc was updated to a
-        non-matching image is dropped; a doc updated INTO the
+        ``pyarrow.parquet`` filters vocabulary) pushed into each base
+        part's scan, so a part whose footer stats exclude it is
+        skipped. On a merge-on-read lake the pushdown stays correct
+        under updates that move a doc across the predicate boundary:
+        delta rows carry full images and LWW-override base rows, so
+        deltas scan in full (they are tick-sized) and the predicate
+        re-applies after the overlay (a base row whose doc was updated
+        to a non-matching image is dropped; a doc updated INTO the
         predicate appears via its delta image)."""
         import ray.data as rd
 
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        expr = pq.filters_to_expression(filters) if filters else None
-        if not m.has_deltas():
-            kw = {"filter": expr} if expr is not None else {}
-            if columns is None:
-                # partitioning=None: the p=NNNNN dir layout must not be
-                # hive-inferred into a phantom `p` column (it leaked into
-                # downstream schemas, e.g. a replica bootstrapped from
-                # this Dataset). Only safe WITHOUT columns= — Ray 2.49's
-                # parquet datasource raises UnboundLocalError on
-                # partitioning=None + columns; an explicit projection
-                # already excludes the phantom column anyway.
-                kw["partitioning"] = None
-            return rd.read_parquet(
-                m.data_files(self.lake_dir), columns=columns, **kw
-            )
-        # merge-on-read: one task per partition overlays its delta parts
-        # (same LWW kernel as apply/compact); column pruning applies
-        # post-merge — doc_id/lsn/op always travel for the merge itself
-        lake_dir, schema = self.lake_dir, m.schema
-        items = [
-            {"k": k, "file": e["file"], "deltas": list(e.get("deltas", []))}
-            for k, e in sorted(m.partitions.items())
-        ]
-
-        def merge_items(batch: pa.Table) -> pa.Table:
-            outs = []
-            for row in batch.to_pylist():
-                path = os.path.join(lake_dir, row["file"])
-                # only a user predicate can prune row groups by stats
-                base = (
-                    pq.read_table(path, filters=filters) if filters else _read_part(path)
-                )
-                deltas = [_read_part(os.path.join(lake_dir, d)) for d in row["deltas"]]
-                t = _merge_partition(base, deltas, schema)
-                if expr is not None:
-                    t = t.filter(expr)
-                outs.append(t.select(columns) if columns else t)
-            if not outs:
-                empty = schema.empty_table()
-                return empty.select(columns) if columns else empty
-            return pa.concat_tables(outs)
-
-        return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-            merge_items, batch_format="pyarrow"
-        )
+        items = [(e["file"], e.get("deltas", [])) for _, e in sorted(m.partitions.items())]
+        return rd.from_arrow_refs([
+            _read_task.remote(self.lake_dir, m.schema, group, columns, filters)
+            for group in _deal(items)
+        ])
 
     def quarantine(self) -> pa.Table:
         """All quarantined (malformed, never-applied) event rows — the
@@ -1147,18 +1148,9 @@ class CDCLake:
         return out
 
     def read_table(self) -> pa.Table:
-        """Driver-side full materialization — TESTS ONLY (small lakes)."""
-        m = self.manifest()
-        if m is None:
-            raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        tables = []
-        for k, e in sorted(m.partitions.items()):
-            tables.append(
-                _read_partition(self.lake_dir, e["file"], e.get("deltas", []), m.schema)
-            )
-        if not tables:
-            return m.schema.empty_table()
-        return pa.concat_tables(tables).sort_by("doc_id")
+        """``read()`` gathered on the driver and sorted by doc_id —
+        TESTS ONLY (small lakes)."""
+        return pa.concat_tables(ray.get(self.read().to_arrow_refs())).sort_by("doc_id")
 
     def changes(
         self,

@@ -2069,11 +2069,11 @@ def q_avro_roundtrip(sf_dir: str):
 def _rates_fixture(sf_dir: str) -> str:
     """Deterministic per-sf 'rates' dimension (5 regions × 16 updates
     spanning the events ts range) shared by q_asof_enrich and its ASOF
-    JOIN oracle — written once, atomically, under /tmp."""
-    import pyarrow.parquet as pq
+    JOIN oracle — written once, atomically, under ``tempfile.gettempdir()``."""
+    import tempfile
 
     sf_tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    path = f"/tmp/nifi_ray_rates_{sf_tag}.parquet"
+    path = os.path.join(tempfile.gettempdir(), f"nifi_ray_rates_{sf_tag}.parquet")
     if os.path.exists(path):
         return path
     t = pq.read_table(os.path.join(sf_dir, "events.parquet"), columns=["ts"])

@@ -131,6 +131,7 @@ def test_expected_builder_failure_isolated_per_name(monkeypatch, capsys):
     entire expected group shared one try/except and a single broken
     fixture silently downgraded every expected-table query to
     rows-only grading."""
+    import os
     import shutil
     import tempfile
 
@@ -158,4 +159,39 @@ def test_expected_builder_failure_isolated_per_name(monkeypatch, capsys):
     finally:
         shutil.rmtree(sf_dir, ignore_errors=True)
         tag = oe.os.path.basename(sf_dir)
-        shutil.rmtree(f"/tmp/nifi_ray_expected_{tag}_r{oe._REV}", ignore_errors=True)
+        shutil.rmtree(
+            os.path.join(tempfile.gettempdir(), f"nifi_ray_expected_{tag}_r{oe._REV}"),
+            ignore_errors=True,
+        )
+
+
+def test_oracle_caches_follow_tempdir(monkeypatch, tmp_path):
+    """The expected-table cache and the as-of rates table are written
+    under ``tempfile.gettempdir()``, so a run given its own temporary
+    directory neither reuses nor leaves files outside it."""
+    import datetime
+    import tempfile
+
+    from nifi_ray import oracle_expected as oe
+    from nifi_ray.pipelines import queries
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(
+        oe, "EXPECTED_BUILDERS", {"stub": lambda _sf: pa.table({"x": [1, 2]})}
+    )
+    sf = tmp_path / "sf_stub"
+    sf.mkdir()
+    t0 = datetime.datetime(2024, 1, 1)
+    pq.write_table(
+        pa.table({"ts": pa.array([t0, t0 + datetime.timedelta(hours=1)])}),
+        str(sf / "events.parquet"),
+    )
+
+    path = expected_table_path("stub", str(sf))
+    assert path.startswith(str(tmp) + "/")
+    assert pq.read_table(path)["x"].to_pylist() == [1, 2]
+    rates = queries._rates_fixture(str(sf))
+    assert rates.startswith(str(tmp) + "/")
+    assert pq.read_table(rates).num_rows == 5 * 16

@@ -173,7 +173,9 @@ def main():
         ticks.append(rec)
         print(json.dumps(rec))
 
+    t0 = time.perf_counter()
     rows = lake.read().count()
+    scan_s = time.perf_counter() - t0
     # integrity (after N expire+GC cycles with --retain): every file the
     # final manifest references must exist and match its recorded checksum
     v = lake.verify()
@@ -203,6 +205,7 @@ def main():
         **extra,
         "total_events": args.events,
         "rows_final": rows,
+        "scan_s": round(scan_s, 3),
         "steady_tick_sec": round(sorted(walls)[len(walls) // 2], 2),
         "steady_events_per_sec": round(args.tick / sorted(walls)[len(walls) // 2], 1),
         "sum_apply_bytes": sum(t["bytes_written"] for t in ticks),
