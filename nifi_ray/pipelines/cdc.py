@@ -17,13 +17,18 @@ Dataflow per tick:
               object-store write + read per byte. Init and rescale run
               the same ``_exchange`` with a stamp-only map side and a
               write-every-pid apply side
-      → apply, two modes (one prologue, ``_collapse_group``):
+      → apply, two modes (one vectorized prologue per group,
+        ``_collapse_group``: guard, collapse, conform, sort by pid):
           cow (default): read base partition, vectorized LWW merge,
               rewrite the partition part file (deterministic name →
               idempotent retries; every part goes through _write_part)
-          delta: write ONLY the collapsed events (incl. tombstones) as
-              a per-tick delta part — O(delta) bytes; readers overlay
-              deltas by LWW (merge-on-read) and compact() folds them
+          delta: write ONLY the collapsed events (incl. tombstones) of
+              the task's whole pid group as ONE tick file, rows in pid
+              order — O(delta) bytes and one file per task, not per
+              partition; each partition's manifest entry names its
+              (offset, rows) range of the file, readers open each tick
+              file once per task, overlay their own ranges by LWW
+              (merge-on-read) and compact() folds them
     driver merges per-partition stats into the manifest and commits
     atomically (phase 2 of the two-phase commit); every commit after
     init is ``Manifest.advance`` of the one it read.
@@ -66,6 +71,7 @@ from ..util.hashing import (
     add_partition_column,
     partition_of,
     state_checksum,
+    state_checksums,
 )
 from ..util.scale import cluster_cpus
 
@@ -212,33 +218,44 @@ def _premerge(
 
 def _collapse_group(shards, lo: int, schema: pa.Schema):
     """Apply-side prologue shared by the COW and delta apply tasks:
-    yields ``(k, events, stats)`` per partition in this group's
-    premerged shards, in pid order.
+    yields ``(stats, events)`` per pid in the group's premerged shards,
+    in pid order, from one vectorized pass over them.
 
-    Per pid, rows keep their shard order; rows at or below the
-    watermark ``lo`` (replays that slipped past the read filter) are
-    dropped and counted as ``dups_dropped``; the rest collapse to one
-    LWW winner per doc (associative with the map-side collapse) and are
-    conformed to the event schema. ``stats`` is the pid's stats row
-    without the write columns."""
+    One LSN guard drops rows at or below the watermark ``lo`` (counted
+    as ``dups_dropped``), one LWW collapse keeps each doc's winner
+    (partitions hold disjoint doc_ids, so it is every pid's own
+    collapse), one conform casts to the event schema, and the per-pid
+    stats (without the write columns) come from ``np.bincount``. One
+    stable sort by pid slices each pid's rows, in shard order, out of
+    one index array; they are gathered only when the pid is reached,
+    so a task holds one pid's copy at a time."""
     parts = [s for s in shards if s.num_rows]
     if not parts:
         return
     block = pa.concat_tables(parts, promote_options="permissive")
-    for pid in sorted(pc.unique(block["partition_id"]).to_pylist()):
-        t = block.filter(pc.equal(block["partition_id"], pid))
-        events_in = int(pc.sum(t["ev_count"]).as_py() or 0)
-        t = _drop_applied(t, lo)
-        events_live = int(pc.sum(t["ev_count"]).as_py() or 0)
-        t = collapse_last_writer(t, count_col="ev_count")
-        yield int(pid), conform(t, _event_target(schema)), {
-            "partition_id": int(pid),
-            "max_lsn": int(pc.max(t["lsn"]).as_py()) if t.num_rows else 0,
-            "events_applied": events_live,
-            "events_in": events_in,
-            "dups_dropped": events_in - events_live,
-            "deletes": int(pc.sum(pc.equal(t["op"], "D")).as_py() or 0),
-        }
+    pids, code = np.unique(block["partition_id"].to_numpy(), return_inverse=True)
+    n = len(pids)
+    events_in = np.bincount(code, weights=block["ev_count"].to_numpy(), minlength=n)
+    t = collapse_last_writer(_drop_applied(block, lo), count_col="ev_count")
+    code = np.searchsorted(pids, t["partition_id"].to_numpy())
+    live = np.bincount(code, weights=t["ev_count"].to_numpy(), minlength=n)
+    deletes = np.bincount(
+        code, weights=pc.equal(t["op"], "D").to_numpy(), minlength=n
+    )
+    max_lsn = np.zeros(n, np.int64)
+    np.maximum.at(max_lsn, code, t["lsn"].to_numpy())
+    t = conform(t, _event_target(schema))
+    order = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[order], np.arange(n + 1))
+    for j in range(n):
+        yield {
+            "partition_id": int(pids[j]),
+            "max_lsn": int(max_lsn[j]),
+            "events_applied": int(live[j]),
+            "events_in": int(events_in[j]),
+            "dups_dropped": int(events_in[j] - live[j]),
+            "deletes": int(deletes[j]),
+        }, t.take(pa.array(order[bounds[j]:bounds[j + 1]]))
 
 
 def _lsn_footer(md: pq.FileMetaData, lo: int, lsn_hi: int | None) -> tuple[bool, bool]:
@@ -317,10 +334,13 @@ def _fan_out(n: int) -> int:
 
 
 def _deal(items: list) -> list[list]:
-    """Deal work items round-robin into ``_fan_out(len(items))`` groups,
-    one Ray task each."""
+    """Split work items into ``_fan_out(len(items))`` contiguous runs,
+    one Ray task each — the exchange's split (``_group_bounds``), so a
+    task given all partitions in pid order reads one tick delta file
+    per tick, not one per exchange group."""
     n = _fan_out(len(items))
-    return [items[i::n] for i in range(n)]
+    b = _group_bounds(len(items), n)
+    return [items[b[i]:b[i + 1]] for i in range(n)]
 
 
 def _group_bounds(P: int, G: int) -> np.ndarray:
@@ -425,14 +445,18 @@ def _cdc_apply_task(
     would revert every doc they updated to its last-compacted image.
     Deterministic names → idempotent retries."""
     _limit_arrow_threads()
+    read = _delta_reader(lake_dir)
     out = []
-    for k, events, stats in _collapse_group(shards, lo, schema):
+    for st, events in _collapse_group(shards, lo, schema):
+        k = st["partition_id"]
         e = base_files.get(k, {})
-        base = _read_partition(lake_dir, e.get("file"), e.get("deltas", []), schema)
+        base = _read_partition(
+            lake_dir, e.get("file"), e.get("deltas", []), schema, read=read
+        )
         merged = conform(merge_into_base(base, events).sort_by("doc_id"), schema)
         rel = part_file(k, next_version, tick_token)
         nbytes = _write_part(lake_dir, rel, merged)
-        out.append({**stats, **_part_stats(k, rel, merged, bytes_written=nbytes)})
+        out.append({**st, **_part_stats(k, rel, merged, bytes_written=nbytes)})
     return out
 
 
@@ -452,23 +476,64 @@ def _read_part(
         if columns is not None:
             columns = [c for c in columns if c in pf.schema_arrow.names]
         t = pf.read(columns=columns)
+    return _probe(t, ids)
+
+
+def _probe(t: pa.Table, ids: pa.Array | pa.ChunkedArray | None) -> pa.Table:
+    """``t``'s rows whose ``doc_id`` is among ``ids`` (None: all)."""
     return t if ids is None else t.filter(pc.is_in(t["doc_id"], value_set=ids))
 
 
+def _delta_refs(e: dict) -> list[dict]:
+    """Each delta of manifest entry ``e`` as ``{file, offset, rows}``:
+    the entry's row range of a tick file its task's partitions share.
+    An entry without ``offset`` owns its whole file."""
+    meta = e.get("delta_meta", {})
+    return [
+        {
+            "file": d,
+            "offset": meta.get(d, {}).get("offset"),
+            "rows": meta.get(d, {}).get("rows"),
+        }
+        for d in e.get("deltas", [])
+    ]
+
+
+def _delta_reader(lake_dir: str):
+    """A task's delta reader: ``read(refs)`` returns each ``_delta_refs``
+    ref's rows. Each tick file is decoded once per reader, however many
+    of the task's partitions name it, and every ref gets only its own
+    range: a file also holds the rows of partitions whose entries moved
+    on (a compacted partition's older images)."""
+    files: dict[str, pa.Table] = {}
+
+    def read(refs: list[dict]) -> list[pa.Table]:
+        out = []
+        for r in refs:
+            t = files.get(r["file"])
+            if t is None:
+                t = files[r["file"]] = _read_part(os.path.join(lake_dir, r["file"]))
+            out.append(t if r["offset"] is None else t.slice(r["offset"], r["rows"]))
+        return out
+
+    return read
+
+
 def _read_partition(
-    lake_dir: str, file: str | None, deltas: list[str], schema: pa.Schema,
-    ids: pa.Array | pa.ChunkedArray | None = None,
+    lake_dir: str, file: str | None, deltas: list[dict], schema: pa.Schema,
+    ids: pa.Array | pa.ChunkedArray | None = None, read=None,
 ) -> pa.Table:
     """One partition's state: its base part (none: empty) overlaid with
-    its delta parts. ``ids`` restricts every part to those doc_ids
-    before the overlay; only a key filter is sound here, because a row
-    predicate would drop the delta image that overrides a base row and
-    resurrect the base row."""
+    its ``_delta_refs`` ranges, read through ``read`` (the task's
+    ``_delta_reader``; default a fresh one). ``ids`` restricts every
+    part to those doc_ids before the overlay; only a key filter is
+    sound here, because a row predicate would drop the delta image that
+    overrides a base row and resurrect the base row."""
     base = (
         _read_part(os.path.join(lake_dir, file), ids) if file else schema.empty_table()
     )
-    parts = [_read_part(os.path.join(lake_dir, d), ids) for d in deltas]
-    return _merge_partition(base, parts, schema)
+    read = read or _delta_reader(lake_dir)
+    return _merge_partition(base, [_probe(t, ids) for t in read(deltas)], schema)
 
 
 def _merge_partition(
@@ -547,28 +612,39 @@ def _cdc_delta_task(
     next_version: int,
     lo: int,
     tick_token: str | None,
+    pid_lo: int,
+    pid_hi: int,
     *shards: pa.Table,
 ) -> list[dict]:
-    """Delta-mode apply side: write each of this group's partitions'
-    collapsed events (incl. D tombstones) as a per-tick delta part —
-    O(delta) bytes instead of a COW rewrite. A partition with no rows
-    left after the guard writes nothing. Deterministic names →
-    idempotent retries."""
+    """Delta-mode apply side: write the collapsed events (incl. D
+    tombstones) of this group's pids [pid_lo, pid_hi) as ONE tick file
+    in pid order — O(delta) bytes, one file per task. Each pid left with
+    rows gets a stats row naming its range of the file (``delta_offset``,
+    ``delta_rows``) and that range's checksum; ``bytes_written`` splits
+    the file's bytes by rows, so the rows sum to the bytes on disk. The
+    name is deterministic in (version, pid range, tick token), so a
+    retry re-publishes identical bytes."""
     _limit_arrow_threads()
-    out = []
-    for k, events, stats in _collapse_group(shards, lo, schema):
-        if not events.num_rows:
-            continue
-        rel = delta_file(k, next_version, tick_token)
-        nbytes = _write_part(lake_dir, rel, events)
-        out.append({
-            **stats,
+    parts = [(st, ev) for st, ev in _collapse_group(shards, lo, schema) if ev.num_rows]
+    if not parts:
+        return []
+    events = pa.concat_tables([ev for _, ev in parts])
+    bounds = np.cumsum([0] + [ev.num_rows for _, ev in parts])
+    rel = delta_file(pid_lo, pid_hi, next_version, tick_token)
+    nbytes = _write_part(lake_dir, rel, events)
+    hashes = state_checksums(events, bounds)
+    split = np.diff(nbytes * bounds // events.num_rows)
+    return [
+        {
+            **st,
             "delta_file": rel,
-            "delta_rows": events.num_rows,
-            "delta_hash": int(state_checksum(events)),
-            "bytes_written": nbytes,
-        })
-    return out
+            "delta_offset": int(bounds[j]),
+            "delta_rows": int(bounds[j + 1] - bounds[j]),
+            "delta_hash": int(hashes[j]),
+            "bytes_written": int(split[j]),
+        }
+        for j, (st, _) in enumerate(parts)
+    ]
 
 
 @ray.remote
@@ -579,12 +655,13 @@ def _compact_task(
     next_version: int,
     tick_token: str | None = None,
 ) -> list[dict]:
-    """Fold each ``(k, base_rel, delta_rels)`` partition's delta parts
-    into a fresh COW base part."""
+    """Fold each ``(k, base_rel, delta_refs)`` partition's delta ranges
+    into a fresh COW base part; each tick file is decoded once."""
     _limit_arrow_threads()
+    read = _delta_reader(lake_dir)
     out = []
-    for k, base_rel, delta_rels in items:
-        merged = _read_partition(lake_dir, base_rel, delta_rels, schema)
+    for k, base_rel, refs in items:
+        merged = _read_partition(lake_dir, base_rel, refs, schema, read=read)
         rel = part_file(k, next_version, tick_token)
         nbytes = _write_part(lake_dir, rel, merged)
         out.append(_part_stats(k, rel, merged, bytes_written=nbytes))
@@ -593,18 +670,19 @@ def _compact_task(
 
 @ray.remote(num_cpus=1)
 def _lookup_task(lake_dir: str, schema: pa.Schema, items: list[tuple]) -> pa.Table:
-    """Point reads of a group of ``(file, deltas, want)`` partitions for
-    ``CDCLake.lookup``. Every base and delta part is probed with the
-    task's whole id set, and one LWW overlay runs over them all: the
-    partitions hold disjoint doc_ids, and the collapse keeps each doc's
-    max-LSN row whatever the input order. Bases written before a schema
-    change lack its columns, so they concatenate permissively."""
+    """Point reads of a group of ``(file, delta_refs, want)`` partitions
+    for ``CDCLake.lookup``. Every base part and delta range is probed
+    with the task's whole id set (each tick file decoded once), and one
+    LWW overlay runs over them all: the partitions hold disjoint
+    doc_ids, and the collapse keeps each doc's max-LSN row whatever the
+    input order. Bases written before a schema change lack its columns,
+    so they concatenate permissively."""
     _limit_arrow_threads()
     ids = pa.array([i for _, _, want in items for i in want], pa.string())
     bases = [_read_part(os.path.join(lake_dir, f), ids) for f, _, _ in items if f]
-    deltas = [
-        _read_part(os.path.join(lake_dir, d), ids) for _, ds, _ in items for d in ds
-    ]
+    deltas = _delta_reader(lake_dir)([d for _, ds, _ in items for d in ds])
+    if deltas:
+        deltas = [_probe(pa.concat_tables(deltas, promote_options="permissive"), ids)]
     base = (
         pa.concat_tables(bases, promote_options="permissive")
         if bases
@@ -618,7 +696,7 @@ def _read_task(
     lake_dir: str, schema: pa.Schema, items: list[tuple],
     columns: list[str] | None, filters: list | None,
 ) -> pa.Table:
-    """Scan a group of ``(file, deltas)`` partitions for ``CDCLake.read``
+    """Scan a group of ``(file, delta_refs)`` partitions for ``CDCLake.read``
     into one table of the manifest schema, projected to ``columns``.
     Under a predicate the base part goes through a scanner given the
     manifest schema, so footer stats can skip it and a column added
@@ -627,15 +705,15 @@ def _read_task(
     after the LWW overlay: a delta image can move a doc across it."""
     _limit_arrow_threads()
     expr = pq.filters_to_expression(filters) if filters else None
+    read = _delta_reader(lake_dir)
     tables = []
-    for file, delta_rels in items:
+    for file, refs in items:
         path = os.path.join(lake_dir, file)
         if expr is not None:
             base = pq.read_table(path, filters=expr, schema=schema)
         else:
-            base = _read_part(path, columns=None if delta_rels else columns)
-        deltas = [_read_part(os.path.join(lake_dir, d)) for d in delta_rels]
-        t = _merge_partition(base, deltas, schema)
+            base = _read_part(path, columns=None if refs else columns)
+        t = _merge_partition(base, read(refs), schema)
         t = t if expr is None else t.filter(expr)
         tables.append(t.select(columns) if columns else t)
     return pa.concat_tables(tables)
@@ -643,12 +721,16 @@ def _read_task(
 
 @ray.remote
 def _verify_task(lake_dir: str, items: list[tuple]) -> list[dict]:
-    """Recompute each ``(k, rel)`` part file's row count and checksum
-    for ``verify``."""
+    """Recompute the row count and checksum of each ``(k, rel, ref)``
+    item for ``verify``: base part ``rel`` (``ref`` None), or partition
+    ``k``'s ``_delta_refs`` range of tick file ``rel``."""
     _limit_arrow_threads()
+    read = _delta_reader(lake_dir)
     return [
-        _part_stats(k, rel, _read_part(os.path.join(lake_dir, rel)))
-        for k, rel in items
+        _part_stats(
+            k, rel, read([ref])[0] if ref else _read_part(os.path.join(lake_dir, rel))
+        )
+        for k, rel, ref in items
     ]
 
 
@@ -688,6 +770,7 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     docs (hash partitioning is stable → doc→partition is congruence-
     structured mod gcd); ``_diff_images`` filters their rows to the
     keys the new partition owns (``partition_of(ids, p_new) == k``).
+    Delta chains are ``_delta_refs`` lists.
     """
     import math
 
@@ -698,12 +781,12 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     for k in range(p_new):
         e_new = m_new.partitions.get(k)
         nf = e_new["file"] if e_new else None
-        nd = list(e_new.get("deltas", [])) if e_new else []
+        nd = _delta_refs(e_new) if e_new else []
         suffix = None
         if same_p:
             e_old = m_old.partitions.get(k)
             of_ = [e_old["file"]] if e_old else []
-            od = [list(e_old.get("deltas", []))] if e_old else [[]]
+            od = [_delta_refs(e_old)] if e_old else [[]]
             # manifest-level pruning: identical entry → no diff I/O
             if e_old and e_new and e_old["file"] == nf and od[0] == nd:
                 continue
@@ -725,7 +808,7 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
         else:
             js = [j for j in range(p_old) if j % g == k % g and j in m_old.partitions]
             of_ = [m_old.partitions[j]["file"] for j in js]
-            od = [list(m_old.partitions[j].get("deltas", [])) for j in js]
+            od = [_delta_refs(m_old.partitions[j]) for j in js]
         items.append(
             {
                 "k": k,
@@ -744,7 +827,7 @@ def _diff_images(
 ) -> tuple[pa.Table, pa.Table]:
     """(old, new) state images of one ``_version_diff_plan`` item.
 
-    A suffix-shaped item reads O(delta) bytes: the appended delta files
+    A suffix-shaped item reads O(delta) bytes: the appended delta ranges
     name exactly the changed docs, so ``new`` is their collapsed live
     images and ``old`` the old snapshot probed for those doc_ids (a
     hash ``is_in`` over each decoded part, the same shape as
@@ -756,8 +839,9 @@ def _diff_images(
     partitions. ``own_p`` (set when P changed) filters the old rows to
     the docs new partition ``k`` owns: an old partition feeds
     ``p_new/gcd`` new ones."""
+    read = _delta_reader(lake_dir)
     if row.get("suffix_deltas") is not None:
-        suffix = [_read_part(os.path.join(lake_dir, d)) for d in row["suffix_deltas"]]
+        suffix = read(row["suffix_deltas"])
         ev = collapse_last_writer(pa.concat_tables(suffix, promote_options="permissive"))
         old = _read_partition(
             lake_dir,
@@ -765,11 +849,14 @@ def _diff_images(
             row["old_deltas"][0] if row["old_deltas"] else [],
             schema,
             ev["doc_id"],
+            read,
         )
         return old, conform(ev.filter(pc.not_equal(ev["op"], "D")), schema)
-    new = _read_partition(lake_dir, row["new_file"], row["new_deltas"], schema)
+    new = _read_partition(
+        lake_dir, row["new_file"], row["new_deltas"], schema, read=read
+    )
     olds = [
-        _read_partition(lake_dir, f, d, schema)
+        _read_partition(lake_dir, f, d, schema, read=read)
         for f, d in zip(row["old_files"], row["old_deltas"])
     ]
     old = (
@@ -913,7 +1000,7 @@ class CDCLake:
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        items = [(e["file"], e.get("deltas", [])) for _, e in sorted(m.partitions.items())]
+        items = [(e["file"], _delta_refs(e)) for _, e in sorted(m.partitions.items())]
         return rd.from_arrow_refs([
             _read_task.remote(self.lake_dir, m.schema, group, columns, filters)
             for group in _deal(items)
@@ -968,7 +1055,7 @@ class CDCLake:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
         lake_dir, schema = self.lake_dir, m.schema
         items = [
-            {"k": k, "file": e["file"], "deltas": list(e.get("deltas", []))}
+            {"k": k, "file": e["file"], "deltas": _delta_refs(e)}
             for k, e in sorted(m.partitions.items())
         ]
         os.makedirs(out_dir, exist_ok=True)
@@ -985,8 +1072,9 @@ class CDCLake:
                 # content key: manifest entries reference IMMUTABLE
                 # files, so (base file, delta chain, max_len) fully
                 # identifies this shard's bytes
+                chain = [d["file"] for d in row["deltas"]]
                 eh = hashlib.md5(
-                    json.dumps([row["file"], row["deltas"], max_len]).encode()
+                    json.dumps([row["file"], chain, max_len]).encode()
                 ).hexdigest()
                 fresh = False
                 if os.path.exists(outp):
@@ -1073,7 +1161,7 @@ class CDCLake:
         for p, want in sorted(by_part.items()):
             e = m.partitions.get(p)
             if e is not None:
-                items.append((e["file"], list(e.get("deltas", [])), want))
+                items.append((e["file"], _delta_refs(e), want))
         parts = ray.get(
             [
                 _lookup_task.remote(self.lake_dir, m.schema, group)
@@ -1344,11 +1432,12 @@ class CDCLake:
         mode="cow" (default): each touched partition's file is fully
         rewritten (reads see one file per partition; per-tick write cost
         is O(partition)). mode="delta": the tick writes only the
-        collapsed events as a delta part per touched partition —
-        O(delta) bytes per tick, the scale answer to one-hot-doc-per-
-        partition write amplification; readers overlay deltas by LWW
-        (merge-on-read) and ``compact()`` folds them back into base
-        parts. Final state is identical in both modes (same LWW kernel).
+        collapsed events, one tick file per apply task holding its
+        touched partitions' rows — O(delta) bytes per tick, the scale
+        answer to one-hot-doc-per-partition write amplification;
+        readers overlay deltas by LWW (merge-on-read) and ``compact()``
+        folds them back into base parts. Final state is identical in
+        both modes (same LWW kernel).
 
         The tick runs ``_exchange``, two stages of raw Ray tasks:
         min(files, CPUs) map tasks read+premerge their files and return
@@ -1403,20 +1492,28 @@ class CDCLake:
         tick_token = hashlib.md5(
             json.dumps([m.version, lo, lsn_hi, mode, sorted(files)]).encode()
         ).hexdigest()[:8]
-        # the COW apply task also takes every partition's base entry
-        apply_task, head = _cdc_delta_task, (self.lake_dir,)
-        if mode != "delta":
+        if mode == "delta":
+            def apply_call(pid_lo, pid_hi, shards):
+                return _cdc_delta_task.remote(
+                    self.lake_dir, target, next_version, lo, tick_token,
+                    pid_lo, pid_hi, *shards,
+                )
+        else:
+            # the COW apply task also takes every partition's base entry
             base_files = {
-                k: {"file": e["file"], "deltas": list(e.get("deltas", []))}
+                k: {"file": e["file"], "deltas": _delta_refs(e)}
                 for k, e in m.partitions.items()
             }
-            apply_task, head = _cdc_apply_task, (self.lake_dir, base_files)
+
+            def apply_call(pid_lo, pid_hi, shards):
+                return _cdc_apply_task.remote(
+                    self.lake_dir, base_files, target, next_version, lo,
+                    tick_token, *shards,
+                )
         stats_rows, plan = _exchange(
             files, m.num_partitions, _cdc_map_task,
             {"lo": lo, "lsn_hi": lsn_hi, "quarantine_dir": self._qdir},
-            lambda pid_lo, pid_hi, shards: apply_task.remote(
-                *head, target, next_version, lo, tick_token, *shards
-            ),
+            apply_call,
         )
 
         if not stats_rows:
@@ -1434,13 +1531,15 @@ class CDCLake:
             if mode == "delta":
                 e = dict(partitions[k])
                 e["deltas"] = list(e.get("deltas", [])) + [r["delta_file"]]
-                # per-delta-file integrity record so verify() can cover
-                # merge-on-read lakes without compacting first
+                # this partition's range of the tick file and its
+                # integrity record, so readers slice it and verify()
+                # covers merge-on-read lakes without compacting first
                 dm = dict(e.get("delta_meta", {}))
                 dm[r["delta_file"]] = {
                     "rows": int(r["delta_rows"]),
                     "hash": int(r["delta_hash"]),
                     "hash_rev": HASH_REV,
+                    "offset": int(r["delta_offset"]),
                 }
                 e["delta_meta"] = dm
                 e["max_lsn"] = int(r["max_lsn"])
@@ -1468,7 +1567,10 @@ class CDCLake:
             "deletes": sum(int(r["deletes"]) for r in stats_rows),
             "bytes_written": sum(int(r["bytes_written"]) for r in stats_rows),
             "wall_sec": round(wall, 3),
-            "files_out": [r.get("file") or r.get("delta_file") for r in stats_rows],
+            # a tick file is shared by its task's partitions: list it once
+            "files_out": list(
+                dict.fromkeys(r.get("file") or r.get("delta_file") for r in stats_rows)
+            ),
             "plan": plan,
         }
         commit_manifest(self.lake_dir, m.advance(
@@ -1574,9 +1676,10 @@ class CDCLake:
         mismatches}.
 
         Merge-on-read partitions are covered too: the base file checks
-        against the entry's (compacted-state) hash and every delta file
-        against the per-file ``delta_meta`` record written at apply
-        time, so a MOR lake needs no compaction for full verification.
+        against the entry's (compacted-state) hash and the partition's
+        range of every tick file against its ``delta_meta`` record
+        written at apply time, so a MOR lake needs no compaction for
+        full verification.
         Delta files predating ``delta_meta`` (legacy manifests) are the
         only skip, reported in ``skipped_deltas``.
 
@@ -1593,20 +1696,21 @@ class CDCLake:
             raise FileNotFoundError("lake not initialized")
         items, want = [], {}
         skipped = 0
-        for k, e in m.partitions.items():
+        for k, e in sorted(m.partitions.items()):
             meta = e.get("delta_meta", {})
             deltas = e.get("deltas", [])
             if any(d not in meta for d in deltas):
                 skipped += 1  # legacy manifest without per-delta records
                 continue
-            items.append((k, e["file"]))
+            items.append((k, e["file"], None))
             want[(k, e["file"])] = {
                 "rows": e["rows"],
                 "hash": int(e["token_hash"]),
                 "rev": int(e.get("hash_rev", 1)),
             }
-            for d in deltas:
-                items.append((k, d))
+            for ref in _delta_refs(e):
+                d = ref["file"]
+                items.append((k, d, ref))
                 want[(k, d)] = {
                     "rows": meta[d]["rows"],
                     "hash": int(meta[d]["hash"]),
@@ -1662,7 +1766,7 @@ class CDCLake:
             json.dumps([m.version, "compact"]).encode()
         ).hexdigest()[:8]
         groups = _deal(
-            [(k, e.get("file"), list(e["deltas"])) for k, e in todo.items()]
+            [(k, e.get("file"), _delta_refs(e)) for k, e in sorted(todo.items())]
         )
         refs = [
             _compact_task.remote(

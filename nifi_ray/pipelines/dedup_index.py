@@ -266,7 +266,7 @@ def _refresh_signed(
 
     1. the index's lake version was expired → ``rebuild(version)``;
     2. no diff item → republish the buckets by reference;
-    3. every item suffix-shaped and the appended delta files' footer row
+    3. every item suffix-shaped and its appended delta ranges' row
        counts × ``rows_per_doc`` over ``max_delta_rows`` → rebuild,
        decided before any diff, hash or patch work (a dense tick's
        refresh was otherwise ~2× the rebuild it falls back to);
@@ -303,11 +303,10 @@ def _refresh_signed(
     if not items:
         return publish(dict(idx["buckets"]))
     if all(r["suffix_deltas"] is not None for r in items):
-        est = sum(
-            pq.read_metadata(os.path.join(lake_dir, d)).num_rows
-            for r in items
-            for d in r["suffix_deltas"]
-        )
+        # each partition's own rows of the shared tick files, from its
+        # entry (a tick file's footer counts every partition's rows); an
+        # entry from before delta_meta records none, and step 4 bounds it
+        est = sum(d["rows"] or 0 for r in items for d in r["suffix_deltas"])
         if est * rows_per_doc > max_delta_rows:
             return publish(rebuild(m_new.version))
 

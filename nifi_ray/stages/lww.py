@@ -67,6 +67,8 @@ def collapse_last_writer(
     enc = pc.dictionary_encode(keys)
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     n_uniq = len(enc.dictionary)
+    if n_uniq == table.num_rows:  # every row is its key's winner: no copy
+        return table
     order_vals = table[order].to_numpy(zero_copy_only=False)
     pos = np.argsort(order_vals, kind="stable")
     winner = np.empty(n_uniq, dtype=np.int64)

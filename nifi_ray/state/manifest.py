@@ -3,7 +3,12 @@
 Layout (all paths relative to the lake root):
 
     _manifest/v{N:06d}.json     committed manifest versions
-    p={k:05d}/part-v{N:06d}.parquet   partition data files (COW)
+    p={k:05d}/part-v{N:06d}[-{token}].parquet   partition data files (COW)
+    _delta/delta-v{N:06d}-p{lo:05d}-{hi:05d}[-{token}].parquet
+                                one merge-on-read tick file per apply
+                                task: the collapsed events of the task's
+                                pids [lo, hi), one row group in pid order;
+                                each partition's entry names its rows
 
 Two-phase commit: apply tasks write partition part files (phase 1,
 deterministic names, published with ``publish_part`` — exclusive link;
@@ -130,7 +135,10 @@ class Manifest:
     # tombstones, newest last); ``file``/``rows``/``token_hash`` then
     # describe the last COMPACTED state — readers overlay deltas by LWW,
     # ``compact()`` folds them back in. ``delta_meta[d]`` = {rows, hash,
-    # hash_rev} of delta file ``d``, so ``verify()`` covers it.
+    # hash_rev, offset}: this partition's rows [offset, offset + rows)
+    # of tick file ``d`` (shared by the task's partitions) and their
+    # checksum, so ``verify()`` covers them. An entry without ``offset``
+    # owns its whole file.
     lineage: list[dict[str, Any]] = field(default_factory=list)
     created_unix: float = 0.0
 
@@ -203,9 +211,13 @@ def part_file(k: int, version: int, token: str | None = None) -> str:
     return os.path.join(partition_dir(k), f"part-v{version:06d}{tok}.parquet")
 
 
-def delta_file(k: int, version: int, token: str | None = None) -> str:
+def delta_file(pid_lo: int, pid_hi: int, version: int, token: str | None = None) -> str:
+    """Tick delta file of the apply task for pids [pid_lo, pid_hi) at
+    ``version``, under the same tick-token rule as ``part_file``."""
     tok = f"-{token}" if token else ""
-    return os.path.join(partition_dir(k), f"delta-v{version:06d}{tok}.parquet")
+    return os.path.join(
+        "_delta", f"delta-v{version:06d}-p{pid_lo:05d}-{pid_hi:05d}{tok}.parquet"
+    )
 
 
 def manifest_path(lake_dir: str, version: int) -> str:

@@ -124,9 +124,29 @@ def state_checksum(table: pa.Table) -> int:
     recomputable for verification (NiFi analog: site-to-site CRC32
     transaction confirmation, reference
     nifi-site-to-site-client/.../remote/AbstractTransaction.java:177-210).
-    Vectorized: per-row token sums via reduceat, no Python row loop."""
+    The XOR of ``state_row_hashes``."""
+    return int(np.bitwise_xor.reduce(state_row_hashes(table), initial=np.uint64(0)))
+
+
+def state_checksums(table: pa.Table, bounds: np.ndarray) -> np.ndarray:
+    """``state_checksum`` of each row range [bounds[j], bounds[j + 1])
+    of ``table`` from one ``state_row_hashes`` pass (an empty range
+    checksums to 0)."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    out = np.zeros(len(bounds) - 1, dtype=np.uint64)
+    nz = np.diff(bounds) > 0
+    if nz.any():
+        out[nz] = np.bitwise_xor.reduceat(state_row_hashes(table), bounds[:-1][nz])
+    return out
+
+
+def state_row_hashes(table: pa.Table) -> np.ndarray:
+    """Per-row uint64 hash behind ``state_checksum``: each row's hash
+    depends on that row alone, so any XOR-reduce of them is independent
+    of row order and batch composition. Vectorized: per-row token sums
+    via reduceat, no Python row loop."""
     if table.num_rows == 0:
-        return 0
+        return np.zeros(0, dtype=np.uint64)
     doc_crc = crc32_of_strings(table["doc_id"]).astype(np.uint64)
     toks = table["tokens"].combine_chunks()
     if isinstance(toks, pa.ChunkedArray):  # empty chunked edge
@@ -149,12 +169,11 @@ def state_checksum(table: pa.Table) -> int:
         tok_sum[nz] = np.add.reduceat(flat, starts[nz])
     null_mask = np.asarray(toks.is_null())
     tok_sum[null_mask] = _U64_NULL
-    row = mix_u64(
+    return mix_u64(
         doc_crc * np.uint64(0x9E3779B97F4A7C15)
         ^ tok_sum * np.uint64(0xBF58476D1CE4E5B9)
         ^ lens.astype(np.uint64) * np.uint64(0x94D049BB133111EB)
     )
-    return int(np.bitwise_xor.reduce(row))
 
 
 _U64_NULL = np.uint64(0xDEADBEEFDEADBEEF)

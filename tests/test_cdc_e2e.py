@@ -266,6 +266,57 @@ def test_apply_task_worker_crash_retried(ray_session, dirs, monkeypatch):
     assert referenced <= on_disk
 
 
+def test_delta_task_worker_crash_retried(ray_session, dirs, monkeypatch):
+    """The worker-crash retry above for the delta apply task: one task
+    dies after publishing its shared tick file, another after removing
+    it. The retries re-publish identical bytes under the same names,
+    and the merge-on-read state matches the oracle."""
+    import glob
+
+    import ray
+
+    from nifi_ray.pipelines import cdc as cdc_mod
+
+    base_dir, ev_dir, lake_dir = dirs
+    real_fn = cdc_mod._cdc_delta_task._function
+
+    @ray.remote(max_retries=3)
+    def flaky_delta(lake_dir, *args):
+        out = real_fn(lake_dir, *args)
+        for mode in ("after_write", "before_write"):
+            marker = os.path.join(lake_dir, f".crash_{mode}")
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                continue
+            os.close(fd)
+            if mode == "before_write":
+                for f in {r["delta_file"] for r in out}:
+                    os.remove(os.path.join(lake_dir, f))
+            os._exit(1)
+        return out
+
+    monkeypatch.setattr(cdc_mod, "_cdc_delta_task", flaky_delta)
+    lake = CDCLake(lake_dir)
+    lake.init_from(base_dir, num_partitions=8)
+    st = lake.replay(ev_dir, mode="delta")
+    assert st is not None and st.events_applied == CFG.n_events
+    assert os.path.exists(os.path.join(lake_dir, ".crash_after_write"))
+    assert os.path.exists(os.path.join(lake_dir, ".crash_before_write"))
+
+    oracle = apply_events([events_table(CFG)], state_from_base(base_table(CFG)))
+    _assert_lake_equals_oracle(lake, oracle)
+    assert lake.verify()["ok"]
+    m = lake.manifest()
+    referenced = {d for e in m.partitions.values() for d in e["deltas"]}
+    on_disk = {
+        os.path.relpath(p, lake_dir)
+        for p in glob.glob(os.path.join(lake_dir, "_delta", "*"))
+    }
+    assert not [p for p in on_disk if ".tmp." in p]
+    assert referenced == on_disk
+
+
 def test_single_partition_lake(ray_session, dirs):
     """P=1 exercises the num_returns=1 edge in the direct exchange
     (Ray hands back a bare ref, not a 1-tuple) for init, replay, and

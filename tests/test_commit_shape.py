@@ -88,7 +88,7 @@ def test_manifest_shape_over_every_commit_kind(ray_session, tmp_path):
             if "deltas" in e_:
                 assert set(e_["delta_meta"]) == set(e_["deltas"])
             for meta in e_.get("delta_meta", {}).values():
-                assert set(meta) == {"rows", "hash", "hash_rev"}
+                assert set(meta) == {"rows", "hash", "hash_rev", "offset"}
                 assert meta["hash_rev"] == HASH_REV
         hist.append(m)
 

@@ -277,3 +277,69 @@ def test_dense_tick_triggers_early_rebuild(ray_session, tmp_path):
     assert _rows_set(read_index_rows(lake, "nd")) == _rows_set(
         read_index_rows(scratch, "nd")
     )
+
+
+def test_refresh_estimate_counts_each_partitions_own_rows(
+    ray_session, tmp_path, monkeypatch
+):
+    """At P=8 on 4 CPUs each delta tick file is shared by two
+    partitions. The pre-diff row estimate sums each partition's own
+    rows (its ``delta_meta`` entry), not the shared file's footer, so a
+    refresh whose true estimate is exactly ``max_delta_rows`` patches
+    the buckets instead of rebuilding them."""
+    from nifi_ray.pipelines import cdc
+
+    monkeypatch.setattr(cdc, "cluster_cpus", lambda: 4)
+    n = 64
+    base = pa.table(
+        {
+            "doc_id": [f"d{i}" for i in range(n)],
+            "tokens": [[i, i + 1, i + 2, i + 3] for i in range(n)],
+            "n_tok": [4] * n,
+            "source": ["web"] * n,
+        },
+        schema=BASE_SCHEMA,
+    )
+    bd, ed = str(tmp_path / "b"), str(tmp_path / "e")
+    os.makedirs(bd)
+    os.makedirs(ed)
+    pq.write_table(base, os.path.join(bd, "b.parquet"))
+    lake = CDCLake(str(tmp_path / "lake"))
+    lake.init_from(bd, num_partitions=8)
+    create_dedup_index(lake, "nd", **IDX_KW)
+    upd = list(range(0, n, 2))  # every partition touched
+    pq.write_table(
+        pa.table(
+            {
+                "lsn": list(range(1, len(upd) + 1)),
+                "op": ["U"] * len(upd),
+                "doc_id": [f"d{i}" for i in upd],
+                "tokens": [[500 + i, 501 + i, 502 + i, 503 + i] for i in upd],
+                "n_tok": [4] * len(upd),
+                "source": ["web"] * len(upd),
+            },
+            schema=EVENT_SCHEMA,
+        ),
+        os.path.join(ed, "e.parquet"),
+    )
+    lake.replay(ed, mode="delta")
+    m = lake.manifest()
+    entries = [e for e in m.partitions.values() if e.get("deltas")]
+    assert len(entries) == 8
+    rows = sum(e["delta_meta"][d]["rows"] for e in entries for d in e["deltas"])
+    footer = sum(
+        pq.read_metadata(os.path.join(lake.lake_dir, d)).num_rows
+        for e in entries
+        for d in e["deltas"]
+    )
+    assert rows == len(upd) and footer > rows  # the files are shared
+    refresh_dedup_index(lake, "nd", max_delta_rows=rows * 2 * IDX_KW["bands"])
+    idx = load_index_manifest(lake.lake_dir, "nd")
+    assert any(e["deltas"] for e in idx["buckets"].values())  # patched
+    scratch = CDCLake(str(tmp_path / "lake2"))
+    scratch.init_from(bd, num_partitions=8)
+    scratch.replay(ed, mode="delta")
+    create_dedup_index(scratch, "nd", **IDX_KW)
+    assert _rows_set(read_index_rows(lake, "nd")) == _rows_set(
+        read_index_rows(scratch, "nd")
+    )

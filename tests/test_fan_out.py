@@ -134,3 +134,47 @@ def test_verify_grouped_reports_corrupt_delta(ray_session, tmp_path):
     assert rep2["mismatches"][0]["partition_id"] == k
     assert rep2["mismatches"][0]["file"] == entry["deltas"][0]
     assert rep2["partitions_checked"] == P
+
+
+def test_read_groups_are_contiguous_and_open_one_file_per_tick(
+    ray_session, tmp_path, monkeypatch
+):
+    """``_deal`` splits work into contiguous runs, the exchange's split:
+    at P=16 with 4 CPUs each ``_read_task`` group is one contiguous pid
+    range, the range its delta task wrote, and it references exactly
+    one delta file per delta tick."""
+    import re
+
+    from nifi_ray.pipelines import cdc
+
+    monkeypatch.setattr(cdc, "cluster_cpus", lambda: 4)
+    b, e, l = (str(tmp_path / d) for d in ("b", "e", "l"))
+    write_base(CFG, b, shards=2)
+    write_events(CFG, e, shards=3)
+    lake = CDCLake(l)
+    lake.init_from(b, num_partitions=16)
+    ticks = [CFG.lsn_start + 599, None]
+    for hi in ticks:
+        lake.replay(e, lsn_hi=hi, mode="delta")
+
+    want = lake.read_table().num_rows
+    real, groups = cdc._read_task, []
+
+    class Spy:
+        def remote(self, lake_dir, schema, items, *args):
+            groups.append(items)
+            return real.remote(lake_dir, schema, items, *args)
+
+    monkeypatch.setattr(cdc, "_read_task", Spy())
+    assert lake.read().count() == want
+    assert len(groups) == 4
+    pid = lambda rel: int(re.match(r"p=(\d+)", rel).group(1))  # noqa: E731
+    for items in groups:
+        pids = [pid(file) for file, _ in items]
+        assert pids == list(range(pids[0], pids[0] + len(pids)))
+        files = {r["file"] for _, refs in items for r in refs}
+        versions = [re.search(r"delta-v(\d+)-p(\d+)-(\d+)", f).groups() for f in files]
+        assert sorted(int(v) for v, _, _ in versions) == [2, 3]  # one per tick
+        assert {(int(lo), int(hi)) for _, lo, hi in versions} == {
+            (pids[0], pids[-1] + 1)
+        }

@@ -139,7 +139,7 @@ def test_lookup_matches_full_read_at_every_delta_depth(ray_session, tmp_path, P)
     m = lake.manifest()
     ent = max(m.partitions.values(), key=lambda e_: len(e_["deltas"]))
     none = _read_partition(
-        l, ent["file"], ent["deltas"], m.schema, pa.array(["doc-absent-0"])
+        l, ent["file"], cdc._delta_refs(ent), m.schema, pa.array(["doc-absent-0"])
     )
     assert none.num_rows == 0 and none.schema == m.schema
 

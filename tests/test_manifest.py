@@ -140,6 +140,21 @@ def test_concurrent_writers_retry_to_serialized_ticks(ray_session, tmp_path):
     the exclusive part/manifest publish and its automatic retry
     re-runs against the winner's commit — final state is the
     sequential application of both event sets, no lost update."""
+    _concurrent_writers(tmp_path, "cow")
+
+
+def test_concurrent_delta_writers_retry_to_serialized_ticks(
+    ray_session, tmp_path, monkeypatch
+):
+    """The same race in delta mode, with one apply task so both
+    partitions share each tick file."""
+    from nifi_ray.pipelines import cdc
+
+    monkeypatch.setattr(cdc, "cluster_cpus", lambda: 1)
+    _concurrent_writers(tmp_path, "delta")
+
+
+def _concurrent_writers(tmp_path, mode: str):
     import pyarrow.parquet as pq
 
     from nifi_ray.pipelines.cdc import CDCLake
@@ -194,15 +209,15 @@ def test_concurrent_writers_retry_to_serialized_ticks(ray_session, tmp_path):
 
     writer_b.manifest = stale_once
 
-    assert writer_a.replay(ev_a).version == 2
-    st = writer_b.replay(ev_b)  # first attempt races v2, retries at v3
+    assert writer_a.replay(ev_a, mode=mode).version == 2
+    st = writer_b.replay(ev_b, mode=mode)  # first attempt races v2, retries at v3
     assert st is not None and st.version == 3 and st.events_applied == 4
 
     # no lost update: final state == sequential application of A then B
     seq = CDCLake(str(tmp_path / "lake_seq"))
     seq.init_from(bd, num_partitions=2)
-    seq.replay(ev_a)
-    seq.replay(ev_b)
+    seq.replay(ev_a, mode=mode)
+    seq.replay(ev_b, mode=mode)
     got = writer_a.read_table().sort_by("doc_id")
     want = seq.read_table().sort_by("doc_id")
     assert got["tokens"].to_pylist() == want["tokens"].to_pylist()

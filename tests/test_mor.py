@@ -321,3 +321,137 @@ def test_cow_tick_on_live_deltas_keeps_delta_state(ray_session, tmp_path):
     toks = dict(zip(got["doc_id"].to_pylist(), got["tokens"].to_pylist()))
     assert all(toks[k] == v["tokens"] for k, v in oracle.items())
     assert lake.verify()["ok"]
+
+
+def _one_tick(tmp_path, name: str, rows: list[tuple]) -> str:
+    """An event file of ``(lsn, op, doc_id, tokens)`` rows."""
+    import pyarrow.parquet as pq
+
+    from nifi_ray.schema import EVENT_SCHEMA
+
+    d = str(tmp_path / name)
+    os.makedirs(d)
+    pq.write_table(
+        pa.table(
+            {
+                "lsn": [r[0] for r in rows],
+                "op": [r[1] for r in rows],
+                "doc_id": [r[2] for r in rows],
+                "tokens": [r[3] for r in rows],
+                "n_tok": [len(r[3]) for r in rows],
+                "source": ["web"] * len(rows),
+            },
+            schema=EVENT_SCHEMA,
+        ),
+        os.path.join(d, "e.parquet"),
+    )
+    return d
+
+
+def test_partial_compaction_over_shared_tick_file(ray_session, tmp_path, monkeypatch):
+    """Partitions a and b share one tick file (one apply task). A later
+    tick touches only a, and ``compact(min_deltas=2)`` folds a alone.
+    Every reader then takes only b's range of the shared file: reading
+    it whole would resurrect a's tick-1 image inside b. GC keeps the
+    file while b references it and removes it once b is folded and the
+    older versions have expired."""
+    import pyarrow.parquet as pq
+
+    from nifi_ray.pipelines import cdc
+    from nifi_ray.schema import BASE_SCHEMA
+    from nifi_ray.state.manifest import expire_versions, gc_orphans
+    from nifi_ray.util.hashing import partition_of
+
+    monkeypatch.setattr(cdc, "cluster_cpus", lambda: 1)  # one apply task
+    P = 4
+    docs = [f"d{i}" for i in range(40)]
+    base = pa.table(
+        {
+            "doc_id": docs,
+            "tokens": [[i] for i in range(40)],
+            "n_tok": [1] * 40,
+            "source": ["web"] * 40,
+        },
+        schema=BASE_SCHEMA,
+    )
+    bd = str(tmp_path / "b")
+    os.makedirs(bd)
+    pq.write_table(base, os.path.join(bd, "b.parquet"))
+    pids = [int(p) for p in partition_of(pa.array(docs), P)]
+    doc_a = docs[0]
+    a = pids[0]
+    doc_b = next(d for d, p in zip(docs, pids) if p != a)
+    b = pids[docs.index(doc_b)]
+
+    lake = CDCLake(str(tmp_path / "lake"))
+    lake.init_from(bd, num_partitions=P)
+    t1 = _one_tick(tmp_path, "t1", [(1, "U", doc_a, [101]), (2, "U", doc_b, [201])])
+    lake.replay(t1, mode="delta")
+    m1 = lake.manifest()
+    (shared,) = m1.partitions[a]["deltas"]
+    assert m1.partitions[b]["deltas"] == [shared]
+    assert pq.read_metadata(os.path.join(lake.lake_dir, shared)).num_rows == 2
+    lake.replay(_one_tick(tmp_path, "t2", [(3, "U", doc_a, [102])]), mode="delta")
+    (tick2,) = set(lake.manifest().partitions[a]["deltas"]) - {shared}
+
+    m = lake.compact(min_deltas=2)
+    assert m.lineage[-1]["partitions"] == [a]
+    assert m.partitions[b]["deltas"] == [shared] and not m.partitions[a].get("deltas")
+
+    want = dict(zip(docs, [[i] for i in range(40)]))
+    want[doc_a], want[doc_b] = [102], [201]
+    got = lake.read_table()
+    assert got["doc_id"].to_pylist() == sorted(want)  # unique, none resurrected
+    assert dict(zip(got["doc_id"].to_pylist(), got["tokens"].to_pylist())) == want
+    assert lake.lookup([doc_a])["tokens"].to_pylist() == [[102]]
+    both = lake.lookup([doc_a, doc_b])
+    assert dict(zip(both["doc_id"].to_pylist(), both["tokens"].to_pylist())) == {
+        doc_a: [102], doc_b: [201],
+    }
+    assert lake.verify()["ok"]
+
+    expire_versions(lake.lake_dir, keep_last=1)
+    removed = gc_orphans(lake.lake_dir)
+    assert os.path.normpath(tick2) in removed
+    assert os.path.exists(os.path.join(lake.lake_dir, shared))
+    assert lake.read_table().equals(got)
+
+    lake.compact()  # folds b
+    expire_versions(lake.lake_dir, keep_last=1)
+    assert os.path.normpath(shared) in gc_orphans(lake.lake_dir)
+    assert not os.path.exists(os.path.join(lake.lake_dir, shared))
+    assert lake.read_table().equals(got)
+    assert lake.verify()["ok"]
+
+
+def test_shared_tick_files_counted_once(ray_session, dirs):
+    """A delta tick writes one file per apply task. Lineage lists each
+    file once and counts its bytes once; the per-partition
+    ``bytes_written`` rows in ``_metrics/metrics.jsonl`` split a shared
+    file's bytes by rows, so they sum to the bytes on disk."""
+    from nifi_ray.state.metrics import read_metrics
+
+    base_dir, ev_dir, lake_dir = dirs
+    lake = CDCLake(lake_dir)
+    lake.init_from(base_dir, num_partitions=8)
+    lake.replay(ev_dir, lsn_hi=600, mode="delta")
+    m = lake.manifest()
+    rec = m.lineage[-1]
+    files = rec["files_out"]
+    assert len(files) == len(set(files)) == rec["plan"]["apply_tasks"]
+    assert rec["partitions_touched"] > len(files)  # files are shared
+    on_disk = sum(os.path.getsize(os.path.join(lake_dir, f)) for f in files)
+    assert rec["bytes_written"] == on_disk
+    parts = read_metrics(lake_dir)[-1]["partitions"]
+    assert len(parts) == rec["partitions_touched"]
+    assert sum(p["bytes_written"] for p in parts.values()) == on_disk
+    for f in files:
+        rows = {
+            int(k): e["delta_meta"][f]["rows"]
+            for k, e in m.partitions.items()
+            if f in e.get("deltas", [])
+        }
+        share = {k: parts[str(k)]["bytes_written"] for k in rows}
+        assert sum(share.values()) == os.path.getsize(os.path.join(lake_dir, f))
+        assert all(b > 0 for b in share.values())
+        assert {k: parts[str(k)]["rows"] for k in rows} == rows

@@ -29,7 +29,7 @@ def _state(lake: CDCLake, version: int) -> pa.Table:
     m = lake.manifest(version)
     return pa.concat_tables(
         [
-            _read_partition(lake.lake_dir, e["file"], e.get("deltas", []), m.schema)
+            _read_partition(lake.lake_dir, e["file"], cdc._delta_refs(e), m.schema)
             for e in m.partitions.values()
         ]
     ).sort_by("doc_id")

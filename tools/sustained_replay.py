@@ -7,7 +7,8 @@ exists for.
         [--partitions 64] [--tick 2000000] [--mode cow|delta]
         [--compact-every 4] [--work DIR]
 
-Prints one JSON line per tick (wall, events/s, bytes written, and
+Prints one JSON line per tick (wall, events/s, bytes written,
+``files_written``: the distinct data files the tick wrote, and
 ``lookup_s``: the wall time of one 64-id ``lookup`` of the same
 evenly spread base ids after the tick, which traces point-read cost
 against delta depth) and a summary line with apply and compaction
@@ -126,6 +127,7 @@ def main():
             "wall_sec": round(wall, 2),
             "events_per_sec": round((st.events_applied if st else 0) / wall, 1),
             "bytes_written": lake.manifest().lineage[-1].get("bytes_written", 0),
+            "files_written": len(set(lake.manifest().lineage[-1].get("files_out", []))),
         }
         t0 = time.perf_counter()
         lake.lookup(lookup_ids)
