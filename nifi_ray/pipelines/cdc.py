@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -719,6 +720,51 @@ def _read_task(
     return pa.concat_tables(tables)
 
 
+_EH_KEY = b"nifi_ray.export.entry_hash"
+
+
+@ray.remote
+def _export_task(
+    lake_dir: str, schema: pa.Schema, out_dir: str, max_len: int, items: list[tuple]
+) -> list[dict]:
+    """Pack each ``(k, file, delta_refs)`` partition for
+    ``CDCLake.export_shards`` into ``out_dir/shard=<k>/`` and return one
+    stats row per shard. A shard whose footer ``_EH_KEY`` names the
+    partition's manifest entry is already current and is not rewritten.
+    Each tick file is decoded once per task."""
+    from ..stages.packing import pack_group
+
+    _limit_arrow_threads()
+    pack = pack_group(max_len, order_key="doc_id", keep=())
+    read = _delta_reader(lake_dir)
+    rows = []
+    for k, file, refs in items:
+        rel = os.path.join(f"shard={k:05d}", f"pack-{max_len}.parquet")
+        outp = os.path.join(out_dir, rel)
+        # content key: manifest entries reference IMMUTABLE files, so
+        # (base file, delta chain, max_len) fully identifies the bytes
+        chain = [d["file"] for d in refs]
+        eh = hashlib.md5(json.dumps([file, chain, max_len]).encode()).hexdigest()
+        md = pq.read_metadata(outp) if os.path.exists(outp) else None
+        fresh = md is not None and (md.metadata or {}).get(_EH_KEY, b"").decode() == eh
+        if not fresh:
+            packed = pack(_read_partition(lake_dir, file, refs, schema, read=read))
+            shard = pa.array([k] * packed.num_rows, pa.int32())
+            packed = packed.add_column(0, "shard", shard)
+            packed = packed.replace_schema_metadata({_EH_KEY.decode(): eh})
+            os.makedirs(os.path.dirname(outp), exist_ok=True)
+            tmp = outp + f".tmp.{os.getpid()}"
+            pq.write_table(packed, tmp, compression="zstd")
+            os.replace(tmp, outp)
+        rows.append({
+            "shard": k,
+            "file": rel,
+            "n_seqs": md.num_rows if fresh else packed.num_rows,
+            "written": not fresh,
+        })
+    return rows
+
+
 @ray.remote
 def _verify_task(lake_dir: str, items: list[tuple]) -> list[dict]:
     """Recompute the row count and checksum of each ``(k, rel, ref)``
@@ -759,8 +805,10 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
     work item per NEW partition whose manifest entry (base file + delta
     chain) changed — the shared pruning front-end of every incremental
     consumer (``CDCLake.changes``, ``matview.refresh_aggregate``,
-    ``dedup_index.refresh_dedup_index``, ``ann_index.refresh_ann_index``),
-    each of which runs the items through ``_diff_map``.
+    ``dedup_index.refresh_dedup_index``, ``ann_index.refresh_ann_index``,
+    ``dedup_index.candidate_pairs_for``), each of which hands the items
+    to ``_diff_map``: ≤ CPUs dealt ``_diff_task``s, each decoding every
+    tick file once.
 
     Same-P: partitions with byte-identical entries are pruned with ZERO
     file I/O, so a tick that touched 10 of 4096 partitions yields 10
@@ -823,7 +871,7 @@ def _version_diff_plan(m_old, m_new) -> tuple[list[dict], bool]:
 
 
 def _diff_images(
-    lake_dir: str, row: dict, schema: pa.Schema, own_p: int | None
+    lake_dir: str, row: dict, schema: pa.Schema, own_p: int | None, read
 ) -> tuple[pa.Table, pa.Table]:
     """(old, new) state images of one ``_version_diff_plan`` item.
 
@@ -838,9 +886,8 @@ def _diff_images(
     Any other item reads the new partition and its congruent old
     partitions. ``own_p`` (set when P changed) filters the old rows to
     the docs new partition ``k`` owns: an old partition feeds
-    ``p_new/gcd`` new ones."""
-    read = _delta_reader(lake_dir)
-    if row.get("suffix_deltas") is not None:
+    ``p_new/gcd`` new ones. ``read`` is the task's ``_delta_reader``."""
+    if row["suffix_deltas"] is not None:
         suffix = read(row["suffix_deltas"])
         ev = collapse_last_writer(pa.concat_tables(suffix, promote_options="permissive"))
         old = _read_partition(
@@ -869,25 +916,30 @@ def _diff_images(
     return old, new
 
 
-def _diff_map(lake_dir: str, m_new, items: list[dict], same_p: bool, fn):
-    """The one diff driver of every incremental consumer: a Ray Dataset
-    with one block per ``_version_diff_plan`` item, holding
-    ``fn(old, new)`` of that item's ``_diff_images``. ``fn`` must return
-    Arrow tables of one schema."""
-    import ray.data as rd
-
-    schema = m_new.schema
-    own_p = None if same_p else m_new.num_partitions
-
-    def per_block(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            fn(*_diff_images(lake_dir, row, schema, own_p))
-            for row in batch.to_pylist()
-        ])
-
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        per_block, batch_format="pyarrow"
+@ray.remote
+def _diff_task(
+    lake_dir: str, schema: pa.Schema, own_p: int | None, items: list[dict], fn
+) -> pa.Table:
+    """``fn(old, new)`` of each dealt ``_version_diff_plan`` item's
+    ``_diff_images``, concatenated in item order. One ``_delta_reader``
+    serves every item, so each tick file is decoded once per task."""
+    _limit_arrow_threads()
+    read = _delta_reader(lake_dir)
+    return pa.concat_tables(
+        [fn(*_diff_images(lake_dir, row, schema, own_p, read)) for row in items]
     )
+
+
+def _diff_map(lake_dir: str, m_new, items: list[dict], same_p: bool, fn) -> list:
+    """The one diff driver of every incremental consumer: deals the
+    ``_version_diff_plan`` items over ≤ CPUs ``_diff_task``s and returns
+    their refs in pid order, one Arrow table each. ``fn`` must return
+    Arrow tables of one schema."""
+    own_p = None if same_p else m_new.num_partitions
+    return [
+        _diff_task.remote(lake_dir, m_new.schema, own_p, group, fn)
+        for group in _deal(items)
+    ]
 
 
 class CDCLake:
@@ -1030,11 +1082,11 @@ class CDCLake:
         the partition's docs in doc_id order — stages/packing.pack_group,
         columns shard/seq_idx/tokens/n_tok/tok_sum).
 
-        Shape: one Ray task per partition, ZERO shuffle — the lake's
-        hash partitioning is reused as the shard key, so export
-        parallelism equals partition count and each task touches one
-        partition's files. Merge-on-read deltas are overlaid with the
-        same LWW kernel as read(). Resumable AND incrementally
+        Shape: ZERO shuffle — the lake's hash partitioning is reused as
+        the shard key. The partitions are dealt over ≤ CPUs
+        ``_export_task``s, each decoding every tick file its partitions
+        name once and overlaying merge-on-read deltas with the same LWW
+        kernel as read(). Resumable AND incrementally
         refreshable: each shard file records the manifest entry (base
         file + delta chain) it was packed from in its parquet footer;
         a re-export skips shards whose entry is unchanged and rewrites
@@ -1046,86 +1098,21 @@ class CDCLake:
         dirs for partitions that no longer exist (rescale shrink) are
         removed. Returns per-shard stats rows (``written`` marks the
         shards this call actually packed)."""
-        import ray.data as rd
-
-        from ..stages.packing import pack_group
-
         m = self.manifest(version)
         if m is None or not m.partitions:
             raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        lake_dir, schema = self.lake_dir, m.schema
-        items = [
-            {"k": k, "file": e["file"], "deltas": _delta_refs(e)}
-            for k, e in sorted(m.partitions.items())
-        ]
+        items = [(k, e["file"], _delta_refs(e)) for k, e in sorted(m.partitions.items())]
         os.makedirs(out_dir, exist_ok=True)
-        pack = pack_group(max_len, order_key="doc_id", keep=())
-
-        _EH_KEY = b"nifi_ray.export.entry_hash"
-
-        def export_item(batch: pa.Table) -> pa.Table:
-            rows = []
-            for row in batch.to_pylist():
-                k = int(row["k"])
-                rel = os.path.join(f"shard={k:05d}", f"pack-{max_len}.parquet")
-                outp = os.path.join(out_dir, rel)
-                # content key: manifest entries reference IMMUTABLE
-                # files, so (base file, delta chain, max_len) fully
-                # identifies this shard's bytes
-                chain = [d["file"] for d in row["deltas"]]
-                eh = hashlib.md5(
-                    json.dumps([row["file"], chain, max_len]).encode()
-                ).hexdigest()
-                fresh = False
-                if os.path.exists(outp):
-                    md = pq.read_metadata(outp).metadata or {}
-                    fresh = md.get(_EH_KEY, b"").decode() == eh
-                if not fresh:
-                    packed = pack(
-                        _read_partition(lake_dir, row["file"], row["deltas"], schema)
-                    )
-                    packed = packed.add_column(
-                        0, "shard", pa.array([k] * packed.num_rows, pa.int32())
-                    )
-                    packed = packed.replace_schema_metadata(
-                        {_EH_KEY.decode(): eh}
-                    )
-                    os.makedirs(os.path.dirname(outp), exist_ok=True)
-                    tmp = outp + f".tmp.{os.getpid()}"
-                    pq.write_table(packed, tmp, compression="zstd")
-                    os.replace(tmp, outp)
-                rows.append(
-                    {
-                        "shard": k,
-                        "file": rel,
-                        "n_seqs": pq.read_metadata(outp).num_rows,
-                        "written": not fresh,
-                    }
-                )
-            return pa.Table.from_pylist(
-                rows,
-                schema=pa.schema(
-                    [
-                        pa.field("shard", pa.int32()),
-                        pa.field("file", pa.string()),
-                        pa.field("n_seqs", pa.int64()),
-                        pa.field("written", pa.bool_()),
-                    ]
-                ),
-            )
-
-        stats = (
-            rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(export_item, batch_format="pyarrow")
-            .take_all()
-        )
+        refs = [
+            _export_task.remote(self.lake_dir, m.schema, out_dir, max_len, group)
+            for group in _deal(items)
+        ]
+        stats = [row for rows in ray.get(refs) for row in rows]
         # rescale shrink leaves shard dirs for partitions that no
         # longer exist — a reader globbing out_dir would double-count
-        live = {f"shard={int(r['k']):05d}" for r in items}
+        live = {f"shard={k:05d}" for k, _, _ in items}
         for d in os.listdir(out_dir):
             if d.startswith("shard=") and d not in live:
-                import shutil
-
                 shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
         return stats
 
@@ -1261,15 +1248,16 @@ class CDCLake:
 
         Scale shape: ``_version_diff_plan`` prunes partitions whose
         manifest entry (base file + delta list) is identical in both
-        versions WITHOUT any file I/O, and ``_diff_map`` runs one diff
-        block per remaining item — a tick that touched 10 of 4096
-        partitions yields 10 diff blocks. Across a rescale (P changed)
-        entries aren't comparable; each new-partition block then reads
-        the P_old/gcd(P_old,P_new) old partitions that can hold its docs
-        (hash partitioning is stable, so doc→partition is
-        congruence-structured) and filters to its own key range — worst
-        case (coprime P) degrades to a full cross-read, so rescale by
-        multiples.
+        versions WITHOUT any file I/O — a tick that touched 10 of 4096
+        partitions yields 10 items — and ``_diff_map`` deals the items
+        over ≤ CPUs ``_diff_task``s, each decoding every tick file once.
+        The Dataset holds one block per task, in pid order. Across a
+        rescale (P changed) entries aren't comparable; each
+        new-partition item then reads the P_old/gcd(P_old,P_new) old
+        partitions that can hold its docs (hash partitioning is stable,
+        so doc→partition is congruence-structured) and filters to its
+        own key range — worst case (coprime P) degrades to a full
+        cross-read, so rescale by multiples.
         """
         import ray.data as rd
 
@@ -1291,7 +1279,7 @@ class CDCLake:
             out = _diff_snapshots(old, new)
             return out.select(columns) if columns else out
 
-        return _diff_map(self.lake_dir, m_new, items, same_p, diff)
+        return rd.from_arrow_refs(_diff_map(self.lake_dir, m_new, items, same_p, diff))
 
     # ------------------------------------------- materialized aggregates
     def create_aggregate(

@@ -270,8 +270,9 @@ def _refresh_signed(
        counts × ``rows_per_doc`` over ``max_delta_rows`` → rebuild,
        decided before any diff, hash or patch work (a dense tick's
        refresh was otherwise ~2× the rebuild it falls back to);
-    4. ``rows(old, new)`` per item through ``cdc._diff_map`` — signed
-       rows of the changed docs only; more than ``max_delta_rows`` →
+    4. ``rows(old, new)`` per item in ``cdc._diff_map``'s dealt diff
+       tasks, gathered with no Dataset — signed rows of the changed
+       docs only; more than ``max_delta_rows`` →
        rebuild (never silent: the cost class changes);
     5. one stable sort by ``bucket_of(rows)`` and one ``_patch_bucket``
        task per touched bucket — contiguous slices, not a filter of the
@@ -310,13 +311,11 @@ def _refresh_signed(
         if est * rows_per_doc > max_delta_rows:
             return publish(rebuild(m_new.version))
 
-    ds = _diff_map(lake_dir, m_new, items, same_p, rows)
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if sum(t.num_rows for t in tables) > max_delta_rows:
+    delta = pa.concat_tables(ray.get(_diff_map(lake_dir, m_new, items, same_p, rows)))
+    if delta.num_rows > max_delta_rows:
         return publish(rebuild(m_new.version))
     buckets = {k: _norm_entry(v) for k, v in idx["buckets"].items()}
-    if tables:
-        delta = pa.concat_tables(tables)
+    if delta.num_rows:
         ids = bucket_of(delta)
         order = np.argsort(ids, kind="stable")
         delta, ids = delta.take(pa.array(order)), ids[order]
@@ -488,29 +487,26 @@ def candidate_pairs_for(
     are verified by EXACT token-3-gram Jaccard (point ``lookup`` of
     just the pair docs — partition-pruned) and a ``jaccard`` column is
     added. Degenerate LSH keys with more than ``max_per_key`` index
-    rows are dropped with a logged count (never silently O(n²))."""
+    rows are dropped with a logged count (never silently O(n²)). The
+    changed docs' probe rows come from ``cdc._diff_map``'s dealt diff
+    tasks, with no Dataset."""
+    from .cdc import _diff_map, _diff_snapshots, _version_diff_plan
+
     idx = load_index_manifest(lake.lake_dir, name, version)
     spec = _load_spec(lake.lake_dir, name)
     hasher = _hasher(spec)
     q = spec["num_buckets"]
     lake_dir = lake.lake_dir
 
-    changed = lake.changes(
-        since_version, version, columns=["change_op", "doc_id", "tokens"]
-    )
+    m_new = lake.manifest(version)
+    items, same_p = _version_diff_plan(lake.manifest(since_version), m_new)
 
-    def probe_rows(t: pa.Table) -> pa.Table:
-        live = t.filter(pc.not_equal(t["change_op"], "D"))
-        return _band_rows(live, hasher)
+    def probe_rows(old: pa.Table, new: pa.Table) -> pa.Table:
+        t = _diff_snapshots(old, new)
+        return _band_rows(t.filter(pc.not_equal(t["change_op"], "D")), hasher)
 
-    probes = [
-        t
-        for t in ray.get(
-            changed.map_batches(probe_rows, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    probe = pa.concat_tables(probes) if probes else ROWS_SCHEMA.empty_table()
+    refs = _diff_map(lake_dir, m_new, items, same_p, probe_rows)
+    probe = pa.concat_tables([ROWS_SCHEMA.empty_table(), *ray.get(refs)])
     pairs_schema = pa.schema([pa.field("a", pa.string()), pa.field("b", pa.string())])
     if probe.num_rows == 0:
         return (

@@ -264,7 +264,8 @@ def create_aggregate(
 def refresh_aggregate(lake, name: str) -> pa.Table:
     """Advance the view to the lake's latest version incrementally:
     diff-plan the two manifests (untouched partitions pruned, zero I/O),
-    compute agg(new)−agg(old) per touched partition in parallel, merge
+    compute agg(new)−agg(old) per touched partition in ``cdc._diff_map``'s
+    dealt diff tasks (no Dataset: the driver gathers their tables), merge
     the tiny grouped delta into the previous snapshot, publish. Falls
     back to one full recompute when the previous reflected version has
     been expired from the manifest chain."""
@@ -310,9 +311,7 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
             _signed_partial(old, group_by, sums, derive, target, -1),
         ])
 
-    ds = _diff_map(lake.lake_dir, m_new, items, same_p, delta)
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    deltas = pa.concat_tables(tables or [target.empty_table()])
-    out = _combine(pa.concat_tables([prev.cast(target), deltas]), group_by, sums)
+    deltas = ray.get(_diff_map(lake.lake_dir, m_new, items, same_p, delta))
+    out = _combine(pa.concat_tables([prev.cast(target), *deltas]), group_by, sums)
     _publish(lake.lake_dir, name, m_new.version, out)
     return read_aggregate(lake, name)

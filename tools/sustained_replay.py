@@ -13,7 +13,9 @@ Prints one JSON line per tick (wall, events/s, bytes written,
 evenly spread base ids after the tick, which traces point-read cost
 against delta depth) and a summary line with apply and compaction
 bytes per event and the final ``verify()`` result; results recorded
-in BASELINE.md.
+in BASELINE.md. ``--maintain`` adds each tick's refresh times and
+``changes_s`` (a gathered ``changes(v-1)``), and the summary's
+``export_s`` (one full ``export_shards`` into a fresh directory).
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ def main():
         rec["lookup_s"] = round(time.perf_counter() - t0, 4)
         if args.maintain:
             t0 = time.perf_counter()
+            ray.get(lake.changes(lake.manifest().version - 1).to_arrow_refs())
+            rec["changes_s"] = round(time.perf_counter() - t0, 4)
+            t0 = time.perf_counter()
             lake.refresh_aggregate("by_source")
             rec["agg_refresh_sec"] = round(time.perf_counter() - t0, 2)
             t0 = time.perf_counter()
@@ -200,6 +205,13 @@ def main():
             "manifest_bytes_final": ticks[-1]["manifest_bytes"],
             "retained_versions_final": ticks[-1]["retained_versions"],
         }
+    if args.maintain:
+        export_dir = f"{work}/export"
+        shutil.rmtree(export_dir, ignore_errors=True)
+        t0 = time.perf_counter()
+        lake.export_shards(export_dir)
+        extra["export_s"] = round(time.perf_counter() - t0, 3)
+        shutil.rmtree(export_dir, ignore_errors=True)
     print(json.dumps({
         "event": "SUMMARY",
         "mode": args.mode,
