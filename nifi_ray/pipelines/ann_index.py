@@ -38,15 +38,14 @@ Index layout (under the lake root, versioned like the dedup index):
         ``max_deltas``, the same policy as the lake itself). A
         refresh from index version F tags what it writes ``-fromF``.
 
-The refresh protocol is dedup_index's ``_refresh_signed``; this module
-supplies only the kernels (embedding rows, cell assignment, merge,
-writer, rebuild).
+The build and refresh protocols are dedup_index's ``_build_signed`` and
+``_refresh_signed``; this module supplies only the kernels (embedding
+rows, cell assignment, row keys, writer).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
 
 import numpy as np
@@ -54,17 +53,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..state.manifest import publish_part
+from ..state.manifest import publish_once
 from .dedup_index import (
+    _build_signed,
+    _create_signed,
     _dir,
     _entry_parts,
     _load_spec,
-    _publish,
+    _merge_signed,
     _refresh_signed,
+    _write_index_file,
 )
 from .dedup_index import load_index_manifest as _load_manifest
-
-_IDX_RE_NAME = "ann"
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _D1 = np.uint64(0xD6E8FEB86659FD93)
@@ -134,6 +134,9 @@ def _emb_hash(emb: np.ndarray) -> np.ndarray:
     return h
 
 
+KEYS = ["doc_id", "emb_hash"]
+
+
 def _rows_schema(dim: int) -> pa.Schema:
     return pa.schema(
         [
@@ -145,8 +148,8 @@ def _rows_schema(dim: int) -> pa.Schema:
     )
 
 
-def _make_rows(t: pa.Table, spec: dict, sign: int) -> pa.Table:
-    """Signed index rows for a state slice."""
+def _make_rows(t: pa.Table, spec: dict) -> pa.Table:
+    """+1 index rows for a state slice."""
     dim = spec["dim"]
     if t.num_rows == 0:
         return _rows_schema(dim).empty_table()
@@ -158,7 +161,7 @@ def _make_rows(t: pa.Table, spec: dict, sign: int) -> pa.Table:
             "emb": pa.FixedSizeListArray.from_arrays(
                 pa.array(emb.reshape(-1)), dim
             ),
-            "sign": pa.array(np.full(t.num_rows, sign, np.int8)),
+            "sign": pa.array(np.ones(t.num_rows, np.int8)),
         },
         schema=_rows_schema(dim),
     )
@@ -170,62 +173,17 @@ def _cells_of(emb_rows: pa.Table, centroids: np.ndarray) -> np.ndarray:
     return np.argmax(M @ centroids.T, axis=1).astype(np.int32)
 
 
-def _key(t: pa.Table) -> pa.ChunkedArray:
-    """``doc_id \x1f emb_hash`` — the identity of one index row."""
-    return pc.binary_join_element_wise(
-        t["doc_id"], pc.cast(t["emb_hash"], pa.string()), pa.scalar("\x1f")
-    )
-
-
-def _merge_cell(tables: list[pa.Table], dim: int) -> pa.Table:
-    """base + delta patches → live rows (net sign > 0, one row per
-    (doc, emb_hash))."""
-    live = [t for t in tables if t is not None and t.num_rows]
-    if not live:
-        return _rows_schema(dim).empty_table()
-    allr = pa.concat_tables(live)
-    g = allr.group_by(["doc_id", "emb_hash"]).aggregate([("sign", "sum")])
-    g = g.filter(pc.greater(g["sign_sum"], 0))
-    if g.num_rows == 0:
-        return _rows_schema(dim).empty_table()
-    # join surviving keys back to ONE +1 row each (the embedding rides
-    # on the + rows; duplicates collapse via unique-on-key)
-    plus = allr.filter(pc.greater(allr["sign"], 0))
-    plus = plus.filter(pc.is_in(_key(plus), value_set=_key(g).combine_chunks()))
-    k = _key(plus).to_numpy(zero_copy_only=False)
-    _, idx = np.unique(k, return_index=True)
-    return plus.take(pa.array(np.sort(idx)))
-
-
-def _write_cell(lake_dir, name, cell, version, rows: pa.Table, kind="part",
-                from_version: int | None = None) -> str:
-    """Cell base/delta writer. Refresh-written bytes depend on the
-    refresh's FROM-version (which snapshot diff was computed), so the
-    from-version is part of the file name — two refreshers racing the
-    same lake version from different origins land on different paths and
-    the exclusive idx_v{V}.json winner references only its own bytes.
-    ``publish_part`` makes retried tasks no-ops and any residual
-    same-path/different-bytes collision loud (see dedup_index)."""
-    tag = f"{kind}-v{version:06d}" + (
-        f"-from{from_version:06d}" if from_version is not None else ""
-    )
-    rel = os.path.join("_indexes", name, f"c={cell:04d}", f"{tag}.parquet")
-    path = os.path.join(lake_dir, rel)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    # deterministic byte layout: cell bytes must be a pure function of
-    # (lake version, spec, from_version) for publish_part's
-    # identical-bytes dedup to treat retried tasks as no-ops
-    order = [("doc_id", "ascending"), ("emb_hash", "ascending"),
-             ("sign", "ascending")] if "sign" in rows.schema.names else [
-        ("doc_id", "ascending"), ("emb_hash", "ascending")]
-    pq.write_table(rows.sort_by(order), tmp, compression="zstd")
-    publish_part(tmp, path)
-    return rel
+_write_cell = functools.partial(
+    _write_index_file, "c",
+    [("doc_id", "ascending"), ("emb_hash", "ascending"), ("sign", "ascending")],
+    "zstd",
+)
 
 
 def _read_cell(lake_dir: str, entry: dict | None, dim: int) -> pa.Table:
-    return _merge_cell(_entry_parts(lake_dir, entry), dim)
+    """A cell's live rows: base + delta patches merged."""
+    parts = _entry_parts(lake_dir, entry)
+    return _merge_signed(parts, KEYS) if parts else _rows_schema(dim).empty_table()
 
 
 def load_centroids(lake_dir: str, name: str) -> np.ndarray:
@@ -244,89 +202,41 @@ def create_ann_index(
 ) -> dict:
     """Train the coarse quantizer on the creation version's
     lexicographically-first ``sample`` docs (a deterministic input
-    constant thereafter), then build + publish the cell lists with one
-    distributed scan."""
-    from ..stages.similarity import kmeans_lite
-
-    m = lake.manifest()
-    if m is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
+    constant thereafter; each scan partition ships only its own first
+    ``sample``), then build + publish the cell lists with one
+    distributed scan (``_build_signed``)."""
     spec = {"dim": dim, "n_cells": n_cells, "seed": seed, "sample": sample}
-    d = _dir(lake.lake_dir, name)
-    sp = os.path.join(d, "spec.json")
-    if os.path.exists(sp):
-        if _load_spec(lake.lake_dir, name) != spec:
-            raise FileExistsError(f"ann index {name!r} exists with a different spec")
-        return refresh_ann_index(lake, name)
-    os.makedirs(d, exist_ok=True)
 
-    # deterministic quantizer-training sample: first `sample` doc_ids
-    # (ordered) of the creation snapshot, via the lake's own pruned read
-    import ray
+    def build(m) -> dict:
+        import ray
 
-    ids_tbl = pa.concat_tables(
-        ray.get(lake.read(columns=["doc_id", "tokens"]).to_arrow_refs())
+        from ..stages.similarity import kmeans_lite
+        from .cdc import _scan_map
+
+        def first(t: pa.Table) -> pa.Table:
+            return t.sort_by("doc_id").slice(0, sample)
+
+        heads = ray.get(_scan_map(lake.lake_dir, m, ["doc_id", "tokens"], first))
+        head = first(pa.concat_tables(heads))
+        emb = token_embeddings(head["doc_id"], head["tokens"], dim, seed)
+        centroids = kmeans_lite(emb, n_cells=n_cells, seed=seed)
+        c = pa.table({"c": pa.FixedSizeListArray.from_arrays(pa.array(centroids.reshape(-1)), dim)})
+        cpath = os.path.join(_dir(lake.lake_dir, name), "centroids.parquet")
+        publish_once(cpath, lambda tmp: pq.write_table(c, tmp))
+        return _build_signed(lake, m.version, **_kernels(lake, name, spec, centroids))
+
+    return _create_signed(lake, name, spec, build, refresh_ann_index)
+
+
+def _kernels(lake, name: str, spec: dict, centroids: np.ndarray) -> dict:
+    """The ANN index's build kernels: embedding rows of a state slice,
+    their cell, the cell file writer."""
+    return dict(
+        q=spec["n_cells"],
+        rows=lambda t: _make_rows(t, spec),
+        bucket_of=lambda t: _cells_of(t, centroids),
+        write=functools.partial(_write_cell, lake.lake_dir, name),
     )
-    order = pc.array_sort_indices(ids_tbl["doc_id"].combine_chunks())
-    head = ids_tbl.take(order[: min(sample, ids_tbl.num_rows)])
-    emb = token_embeddings(head["doc_id"], head["tokens"], dim, seed)
-    centroids = kmeans_lite(emb, n_cells=n_cells, seed=seed)
-    cpath = os.path.join(d, "centroids.parquet")
-    tmp = cpath + f".tmp-{os.getpid()}"
-    pq.write_table(
-        pa.table({"c": pa.FixedSizeListArray.from_arrays(
-            pa.array(centroids.reshape(-1)), dim)}),
-        tmp,
-    )
-    try:
-        os.link(tmp, cpath)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(tmp)
-    with open(sp + f".tmp-{os.getpid()}", "w") as f:
-        json.dump(spec, f)
-    try:
-        os.link(sp + f".tmp-{os.getpid()}", sp)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(sp + f".tmp-{os.getpid()}")
-
-    cells_map = _build_cells(lake, name, spec, centroids, m.version)
-    _publish(lake.lake_dir, name, m.version, cells_map)
-    return _load_manifest(lake.lake_dir, name)
-
-
-def _build_cells(lake, name, spec, centroids, version) -> dict:
-    """Full-scan cell build (creation / dense-tick rebuild)."""
-    lake_dir = lake.lake_dir
-    dim = spec["dim"]
-    cref = centroids
-
-    def rows_with_cell(t: pa.Table) -> pa.Table:
-        rows = _make_rows(t, spec, 1)
-        if rows.num_rows == 0:
-            return rows.append_column("cell", pa.array([], pa.int32()))
-        return rows.append_column("cell", pa.array(_cells_of(rows, cref)))
-
-    def write_group(g: pa.Table) -> pa.Table:
-        c = int(g["cell"][0].as_py())
-        rel = _write_cell(
-            lake_dir, name, c, version, g.drop_columns(["cell"])
-        )
-        return pa.table({"cell": pa.array([c], pa.int32()),
-                         "file": pa.array([rel])})
-
-    from ..util.io import drop_schemaless_empties
-
-    entries = drop_schemaless_empties(
-        lake.read(columns=["doc_id", "tokens"])
-        .map_batches(rows_with_cell, batch_format="pyarrow")
-        .groupby("cell")
-        .map_groups(write_group, batch_format="pyarrow")
-    ).take_all()
-    return {str(int(e["cell"])): {"file": e["file"], "deltas": []} for e in entries}
 
 
 def refresh_ann_index(
@@ -336,27 +246,10 @@ def refresh_ann_index(
     ``_refresh_signed``): the changed docs' −old/+new embedding rows,
     minus the pairs that cancel (same (doc, emb_hash)), patch the cells
     they fall in."""
-    from .cdc import _changed_only
-
     spec = _load_spec(lake.lake_dir, name)
-    centroids = load_centroids(lake.lake_dir, name)
-
-    def rows(old: pa.Table, new: pa.Table) -> pa.Table:
-        old, new = _changed_only(old, new)
-        allr = pa.concat_tables([_make_rows(new, spec, 1), _make_rows(old, spec, -1)])
-        # a doc whose tokens did not change yields −/+ rows with one
-        # (doc, emb_hash); they net to zero and ship nothing
-        g = allr.group_by(["doc_id", "emb_hash"]).aggregate([("sign", "sum")])
-        g = g.filter(pc.not_equal(g["sign_sum"], 0))
-        return allr.filter(pc.is_in(_key(allr), value_set=_key(g).combine_chunks()))
-
     return _refresh_signed(
-        lake, name,
-        rows=rows,
-        bucket_of=lambda t: _cells_of(t, centroids),
-        merge=functools.partial(_merge_cell, dim=spec["dim"]),
-        write=functools.partial(_write_cell, lake.lake_dir, name),
-        rebuild=lambda version: _build_cells(lake, name, spec, centroids, version),
+        lake, name, _kernels(lake, name, spec, load_centroids(lake.lake_dir, name)),
+        keys=KEYS,
         rows_per_doc=2,
         max_delta_rows=max_delta_rows,
         max_deltas=max_deltas,

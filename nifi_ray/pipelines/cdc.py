@@ -227,8 +227,8 @@ def _collapse_group(shards, lo: int, schema: pa.Schema):
     (partitions hold disjoint doc_ids, so it is every pid's own
     collapse), one conform casts to the event schema, and the per-pid
     stats (without the write columns) come from ``np.bincount``. One
-    stable sort by pid slices each pid's rows, in shard order, out of
-    one index array; they are gathered only when the pid is reached,
+    ``_split_by_key`` by pid slices each pid's rows, in shard order, out
+    of one index array; they are gathered only when the pid is reached,
     so a task holds one pid's copy at a time."""
     parts = [s for s in shards if s.num_rows]
     if not parts:
@@ -246,8 +246,7 @@ def _collapse_group(shards, lo: int, schema: pa.Schema):
     max_lsn = np.zeros(n, np.int64)
     np.maximum.at(max_lsn, code, t["lsn"].to_numpy())
     t = conform(t, _event_target(schema))
-    order = np.argsort(code, kind="stable")
-    bounds = np.searchsorted(code[order], np.arange(n + 1))
+    _, order, bounds = _split_by_key(code, np.arange(n))
     for j in range(n):
         yield {
             "partition_id": int(pids[j]),
@@ -376,6 +375,34 @@ def _exchange(inputs: list, P: int, map_task, map_kw: dict, apply_call):
     return stats, {"map_tasks": len(chunks), "apply_tasks": G}
 
 
+def _split_by_key(keys: np.ndarray, starts: np.ndarray | None = None):
+    """The one group-by-key kernel, one stable argsort of integer
+    ``keys``: returns ``(starts, order, bounds)``, run j being the rows
+    (in input order) ``order[bounds[j]:bounds[j + 1]]`` whose key lies in
+    [starts[j], starts[j + 1]). ``starts`` defaults to the distinct
+    keys; a given key range also gives absent keys an empty run."""
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
+    if starts is None:
+        starts = np.unique(s)
+    return starts, order, np.append(np.searchsorted(s, starts), len(s))
+
+
+def _deal_by_key(t: pa.Table, keys: np.ndarray) -> list[tuple[list, pa.Table]]:
+    """``t``'s rows grouped by integer ``keys`` (``_split_by_key``) and
+    dealt in contiguous key runs (``_deal``): one ``(runs, rows)`` per
+    task, ``rows`` its one slice of the key-sorted table and ``runs``
+    its ``(key, lo, hi)`` triples, key's rows being ``rows[lo:hi]``."""
+    uniq, order, bounds = _split_by_key(keys)
+    t = t.take(pa.array(order))
+    out = []
+    for run in _deal(list(range(len(uniq)))):
+        lo, hi = int(bounds[run[0]]), int(bounds[run[-1] + 1])
+        runs = [(int(uniq[j]), int(bounds[j]) - lo, int(bounds[j + 1]) - lo) for j in run]
+        out.append((runs, t.slice(lo, hi - lo)))
+    return out
+
+
 def _scatter_by_partition(t: pa.Table, P: int, G: int):
     """Sort by partition code and slice into G shard tables; shard g
     holds group g's contiguous pid range (``_group_bounds``) and its
@@ -386,9 +413,8 @@ def _scatter_by_partition(t: pa.Table, P: int, G: int):
     if G == 1:
         return t
     codes = t["partition_id"].to_numpy(zero_copy_only=False)
-    order = np.argsort(codes, kind="stable")
+    _, order, bounds = _split_by_key(codes, _group_bounds(P, G)[:-1])
     s = t.take(pa.array(order))
-    bounds = np.searchsorted(codes[order], _group_bounds(P, G))
     return tuple(
         s.slice(int(bounds[g]), int(bounds[g + 1] - bounds[g])) for g in range(G)
     )
@@ -412,17 +438,22 @@ def _rescale_write_task(
     tick_token: str | None, *shards: pa.Table
 ) -> list[dict]:
     """Write one full part per pid in [pid_lo, pid_hi) from this group's
-    shards — an empty partition gets an empty part, so the manifest
-    names every partition."""
+    shards, each pid's rows sliced out of one ``_split_by_key`` — an
+    empty partition gets an empty part, so the manifest names every
+    partition."""
     _limit_arrow_threads()
     parts = [s for s in shards if s.num_rows]
     block = pa.concat_tables(parts, promote_options="permissive") if parts else None
+    if block is not None:
+        pids = block["partition_id"].to_numpy()
+        block = block.drop_columns(["partition_id"])
+        _, order, bounds = _split_by_key(pids, np.arange(pid_lo, pid_hi))
     out = []
-    for k in range(pid_lo, pid_hi):
+    for j, k in enumerate(range(pid_lo, pid_hi)):
         t = schema.empty_table()
         if block is not None:
-            t = block.filter(pc.equal(block["partition_id"], k))
-            t = conform(t.drop_columns(["partition_id"]).sort_by("doc_id"), schema)
+            t = block.take(pa.array(order[bounds[j]:bounds[j + 1]]))
+            t = conform(t.sort_by("doc_id"), schema)
         rel = part_file(k, version, tick_token)
         _write_part(lake_dir, rel, t)
         out.append(_part_stats(k, rel, t))
@@ -692,18 +723,19 @@ def _lookup_task(lake_dir: str, schema: pa.Schema, items: list[tuple]) -> pa.Tab
     return _merge_partition(base, deltas, schema)
 
 
-@ray.remote
-def _read_task(
+def _scan(
     lake_dir: str, schema: pa.Schema, items: list[tuple],
-    columns: list[str] | None, filters: list | None,
+    columns: list[str] | None = None, filters: list | None = None, fn=None,
 ) -> pa.Table:
-    """Scan a group of ``(file, delta_refs)`` partitions for ``CDCLake.read``
-    into one table of the manifest schema, projected to ``columns``.
-    Under a predicate the base part goes through a scanner given the
-    manifest schema, so footer stats can skip it and a column added
-    after it was written reads as null; otherwise a partition without
-    deltas decodes only the projected columns. The predicate re-applies
-    after the LWW overlay: a delta image can move a doc across it."""
+    """One dealt scan task (``_read_task``; the index build's map side
+    too): a group of ``(file, delta_refs)`` partitions as one table of
+    the manifest schema, projected to ``columns`` and passed per
+    partition through ``fn`` (tables of one schema). Under a predicate
+    the base part goes through a scanner given the manifest schema, so
+    footer stats can skip it and a column added after it was written
+    reads as null; otherwise a partition without deltas decodes only
+    the projected columns. The predicate re-applies after the LWW
+    overlay: a delta image can move a doc across it."""
     _limit_arrow_threads()
     expr = pq.filters_to_expression(filters) if filters else None
     read = _delta_reader(lake_dir)
@@ -716,8 +748,32 @@ def _read_task(
             base = _read_part(path, columns=None if refs else columns)
         t = _merge_partition(base, read(refs), schema)
         t = t if expr is None else t.filter(expr)
-        tables.append(t.select(columns) if columns else t)
+        t = t.select(columns) if columns else t
+        tables.append(t if fn is None else fn(t))
     return pa.concat_tables(tables)
+
+
+_read_task = ray.remote(_scan)
+
+
+def _scan_items(m: Manifest) -> list[tuple]:
+    """Manifest ``m``'s partitions as ``(file, delta_refs)`` scan items,
+    in pid order."""
+    return [(e["file"], _delta_refs(e)) for _, e in sorted(m.partitions.items())]
+
+
+def _scan_map(
+    lake_dir: str, m: Manifest, columns: list[str] | None = None, fn=None,
+    filters: list | None = None,
+) -> list:
+    """The one scan driver of every full-lake consumer: ``m``'s
+    partitions dealt over ≤ CPUs ``_read_task``s, their refs in pid
+    order. ``fn`` runs per partition inside the task, so a consumer
+    that needs a summary ships only the summary."""
+    return [
+        _read_task.remote(lake_dir, m.schema, group, columns, filters, fn)
+        for group in _deal(_scan_items(m))
+    ]
 
 
 _EH_KEY = b"nifi_ray.export.entry_hash"
@@ -1018,6 +1074,13 @@ class CDCLake:
     def manifest(self, version: int | None = None) -> Manifest | None:
         return load_manifest(self.lake_dir, version)
 
+    def _snapshot(self, version: int | None = None) -> Manifest:
+        """The committed manifest a read serves (default: the latest)."""
+        m = self.manifest(version)
+        if m is None or not m.partitions:
+            raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
+        return m
+
     def read(
         self,
         columns: list[str] | None = None,
@@ -1026,7 +1089,8 @@ class CDCLake:
     ) -> "ray.data.Dataset":
         """Dataset over the lake's committed state, one block per scan
         task. Eager: the call takes the manifest snapshot and deals its
-        partitions into ≤ CPUs ``_read_task`` Ray tasks, copy-on-write
+        partitions into ≤ CPUs ``_read_task`` Ray tasks (``_scan_map``,
+        the scan driver every full-lake consumer shares), copy-on-write
         and merge-on-read lakes alike; the blocks hold the projected
         lake in the object store (Ray spills what does not fit) and
         carry the manifest schema, whatever schema a part was written
@@ -1049,14 +1113,8 @@ class CDCLake:
         predicate appears via its delta image)."""
         import ray.data as rd
 
-        m = self.manifest(version)
-        if m is None or not m.partitions:
-            raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
-        items = [(e["file"], _delta_refs(e)) for _, e in sorted(m.partitions.items())]
-        return rd.from_arrow_refs([
-            _read_task.remote(self.lake_dir, m.schema, group, columns, filters)
-            for group in _deal(items)
-        ])
+        m = self._snapshot(version)
+        return rd.from_arrow_refs(_scan_map(self.lake_dir, m, columns, filters=filters))
 
     def quarantine(self) -> pa.Table:
         """All quarantined (malformed, never-applied) event rows — the
@@ -1098,9 +1156,7 @@ class CDCLake:
         dirs for partitions that no longer exist (rescale shrink) are
         removed. Returns per-shard stats rows (``written`` marks the
         shards this call actually packed)."""
-        m = self.manifest(version)
-        if m is None or not m.partitions:
-            raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
+        m = self._snapshot(version)
         items = [(k, e["file"], _delta_refs(e)) for k, e in sorted(m.partitions.items())]
         os.makedirs(out_dir, exist_ok=True)
         refs = [
@@ -1135,9 +1191,7 @@ class CDCLake:
         could skip no I/O within it. A k-id lookup on a P-partition
         lake costs ≤ min(k, P, CPUs) tasks and reads only the touched
         partitions' parts, never a lake scan."""
-        m = self.manifest(version)
-        if m is None or not m.partitions:
-            raise FileNotFoundError(f"no committed manifest in {self.lake_dir}")
+        m = self._snapshot(version)
         ids = sorted(set(doc_ids))
         pids = partition_of(pa.array(ids, pa.string()), m.num_partitions)
         by_part: dict[int, list[str]] = {}
@@ -1223,9 +1277,11 @@ class CDCLake:
         return out
 
     def read_table(self) -> pa.Table:
-        """``read()`` gathered on the driver and sorted by doc_id —
+        """The latest committed state gathered on the driver from the
+        ``_scan_map`` tasks' tables (no Dataset) and sorted by doc_id —
         TESTS ONLY (small lakes)."""
-        return pa.concat_tables(ray.get(self.read().to_arrow_refs())).sort_by("doc_id")
+        m = self._snapshot()
+        return pa.concat_tables(ray.get(_scan_map(self.lake_dir, m))).sort_by("doc_id")
 
     def changes(
         self,

@@ -33,10 +33,14 @@ file; updates as −old/+new). A refresh whose surviving delta exceeds
 ``max_delta_rows`` falls back to a full rebuild — the honest answer
 when a tick rewrote most of the lake.
 
-The refresh protocol over signed buckets (``_refresh_signed``) is
-shared with the IVF ANN index (ann_index.py): each index supplies only
-its kernels — patch rows from a diff item's (old, new) images, the
-bucket of a row, the merge, the file writer and the rebuild.
+The build and refresh protocols over signed buckets (``_build_signed``,
+``_refresh_signed``) are shared with the IVF ANN index (ann_index.py):
+each index supplies only its kernels — rows of a state slice, the
+bucket of a row, the row identity keys and the file writer. Both run
+on the lake's own task shapes, with no Ray Data: a build is one
+``cdc._exchange`` with buckets for partitions, a refresh reads the diff
+in ``cdc._diff_map``'s dealt tasks and deals the touched buckets over
+≤ CPUs patch tasks.
 
 Signatures use TokenMinHasher (stages/dedup.py): shingle units are the
 lake's token ids directly — no text, no string hashing; the scalar
@@ -51,6 +55,8 @@ import json
 import os
 import re
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -58,7 +64,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..stages.dedup import TokenMinHasher
-from ..state.manifest import publish_part
+from ..state.manifest import publish_once, publish_part
 
 _IDX_DIR = "_indexes"
 _IDX_RE = re.compile(r"^idx_v(\d{6})\.json$")
@@ -109,20 +115,12 @@ def load_index_manifest(lake_dir: str, name: str, version: int | None = None) ->
 
 
 def _publish(lake_dir: str, name: str, version: int, buckets: dict) -> None:
-    """Exclusive manifest publish (os.link — EEXIST = concurrent
-    refresher already published an equivalent snapshot)."""
+    """Exclusive manifest publish (``publish_once``: a concurrent
+    refresher that published an equivalent snapshot first wins)."""
     d = _dir(lake_dir, name)
     os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"idx_v{version:06d}.json")
-    tmp = path + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"version": version, "buckets": buckets}, f, sort_keys=True)
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(tmp)
+    doc = json.dumps({"version": version, "buckets": buckets}, sort_keys=True)
+    publish_once(os.path.join(d, f"idx_v{version:06d}.json"), lambda tmp: Path(tmp).write_text(doc))
 
 
 def _hasher(spec: dict) -> TokenMinHasher:
@@ -162,57 +160,74 @@ def _bucket_of(band_hash: pa.ChunkedArray | pa.Array, q: int) -> np.ndarray:
 # row). Bucket state = group-by(doc,band,hash) sum(sign) > 0 — the
 # alternating add/remove history of a row nets to its current presence,
 # so patches need no ordering beyond set membership.
-SIGNED_SCHEMA = ROWS_SCHEMA.append(pa.field("sign", pa.int8()))
+KEYS = ["doc_id", "band_id", "band_hash"]
 
 
-def _write_bucket_file(
-    lake_dir, name, bucket: int, version: int, rows: pa.Table, kind: str = "part",
+def _write_index_file(
+    cell_dir: str, order: list, compression: str, lake_dir: str, name: str,
+    bucket: int, version: int, rows: pa.Table, kind: str = "part",
     from_version: int | None = None,
 ) -> str:
-    """Write one bucket base/delta file under a name that is unique per
-    (bucket, target version, REFRESH ORIGIN). Refresh-written bytes are a
-    function of the from-version too (which snapshot diff was computed),
-    so two concurrent refreshers starting from different index versions
-    but racing the same lake version must land on DIFFERENT paths — the
-    exclusive idx_v{V}.json winner then references only its own bytes
-    (the loser's files are unreferenced orphans). Publishing goes through
-    ``publish_part`` (exclusive link, identical-bytes dedup) so a retried
-    task is a no-op and any residual same-path/different-bytes race
-    raises instead of silently cross-linking."""
+    """Write one bucket (or cell) base/delta file of either index, rows
+    sorted by ``order`` so its bytes are a pure function of the rows,
+    named per (bucket, target version, REFRESH ORIGIN): two refreshers
+    racing one lake version from different index versions write
+    different bytes to different paths, and the exclusive idx_v{V}.json
+    winner names only its own. ``publish_part`` (exclusive link,
+    identical-bytes dedup) makes a retried task a no-op and a
+    same-path/different-bytes race loud."""
     tag = f"{kind}-v{version:06d}" + (
         f"-from{from_version:06d}" if from_version is not None else ""
     )
-    rel = os.path.join(_IDX_DIR, name, f"b={bucket:04d}", f"{tag}.parquet")
+    rel = os.path.join(_IDX_DIR, name, f"{cell_dir}={bucket:04d}", f"{tag}.parquet")
     path = os.path.join(lake_dir, rel)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(rows.sort_by([("band_hash", "ascending"), ("doc_id", "ascending"),
-                                 ("band_id", "ascending")]), tmp)
+    pq.write_table(rows.sort_by(order), tmp, compression=compression)
     publish_part(tmp, path)
     return rel
 
 
+_write_bucket_file = functools.partial(
+    _write_index_file, "b",
+    [("band_hash", "ascending"), ("doc_id", "ascending"), ("band_id", "ascending")],
+    "snappy",
+)
+
+
 def _signed(rows: pa.Table, sign: int) -> pa.Table:
-    if "sign" in rows.schema.names:
-        return rows.cast(SIGNED_SCHEMA)
     return rows.append_column(
         "sign", pa.array(np.full(rows.num_rows, sign, dtype=np.int8))
     )
 
 
-def _merge_bucket(tables: list[pa.Table]) -> pa.Table:
-    """Merge-on-read kernel for one bucket: base + delta patches →
-    current (doc_id, band_id, band_hash) rows (net sign > 0)."""
-    live = [t for t in tables if t is not None and t.num_rows]
-    if not live:
-        return ROWS_SCHEMA.empty_table()
-    allr = pa.concat_tables([_signed(t, 1) for t in live])
-    g = allr.group_by(["doc_id", "band_id", "band_hash"]).aggregate([("sign", "sum")])
-    g = g.filter(pc.greater(g["sign_sum"], 0))
-    return pa.table(
-        {"doc_id": g["doc_id"], "band_id": g["band_id"], "band_hash": g["band_hash"]},
-        schema=ROWS_SCHEMA,
+def _key(t: pa.Table, keys: list[str]) -> pa.ChunkedArray:
+    """The ``keys`` columns joined into one string: a row's identity."""
+    return pc.binary_join_element_wise(*(pc.cast(t[k], pa.string()) for k in keys), "\x1f")
+
+
+def _net(t: pa.Table, keys: list[str]) -> pa.Table:
+    """The rows of signed table ``t`` whose key's sign sum is not zero,
+    in input order: the −/+ pairs of a doc whose row did not change
+    cancel. One hash group-by carries each key's row indices."""
+    g = t.append_column("_i", pa.array(np.arange(t.num_rows))).group_by(keys).aggregate(
+        [("sign", "sum"), ("_i", "list")]
     )
+    g = g.filter(pc.not_equal(g["sign_sum"], 0))
+    return t.take(np.sort(pc.list_flatten(g["_i_list"]).to_numpy()))
+
+
+def _merge_signed(parts: list[pa.Table], keys: list[str]) -> pa.Table:
+    """Merge-on-read kernel of both indexes: base + delta patches → the
+    first +1 row of each key whose net sign is > 0, in input order (a v1
+    base without signs reads as +1 rows)."""
+    t = pa.concat_tables([p if "sign" in p.column_names else _signed(p, 1) for p in parts])
+    n = t.num_rows
+    first_plus = np.where(t["sign"].to_numpy() > 0, np.arange(n), n)
+    g = t.append_column("_p", pa.array(first_plus)).group_by(keys).aggregate(
+        [("sign", "sum"), ("_p", "min")]
+    )
+    return t.take(np.sort(g.filter(pc.greater(g["sign_sum"], 0))["_p_min"].to_numpy()))
 
 
 def _norm_entry(entry) -> dict | None:
@@ -231,60 +246,72 @@ def _entry_parts(lake_dir: str, entry) -> list[pa.Table]:
 
 
 def _read_bucket(lake_dir: str, entry) -> pa.Table:
-    return _merge_bucket(_entry_parts(lake_dir, entry))
+    parts = _entry_parts(lake_dir, entry)
+    if not parts:
+        return ROWS_SCHEMA.empty_table()
+    return _merge_signed(parts, KEYS).drop_columns(["sign"])
 
 
-@ray.remote(num_cpus=1)
-def _patch_bucket(
-    lake_dir: str, b: int, entry: dict | None, patch: pa.Table,
-    write, merge, version: int, v_from: int, max_deltas: int,
-) -> tuple:
-    """Append one refresh's signed patch to bucket ``b`` as a DELTA file
-    — O(patch) bytes, the bucket base is NOT rewritten (write
-    amplification at uniform churn would otherwise equal a full index
-    rewrite per tick). Fold base + deltas into a new base (``merge``)
-    only when the chain grows past ``max_deltas`` — the lake's
-    merge-on-read policy applied to its own index. Returns ``(b, entry)``;
+@ray.remote
+def _patch_task(
+    lake_dir: str, runs: list[tuple], patch: pa.Table,
+    write, keys: list[str], version: int, v_from: int, max_deltas: int,
+) -> list[tuple]:
+    """Patch a dealt run of touched buckets, ``(b, entry, lo, hi)``
+    each, bucket ``b``'s signed rows being ``patch[lo:hi]``: one DELTA
+    file per bucket, O(patch) bytes, the base NOT rewritten (at uniform
+    churn that would rewrite the whole index per tick). The chain folds
+    into a new base (``_merge_signed``) only past ``max_deltas`` — the
+    lake's merge-on-read policy. Returns ``(b, entry)`` per bucket;
     ``None`` drops a bucket left empty."""
-    entry = _norm_entry(entry) or {}
-    rel = write(b, version, patch, kind="delta", from_version=v_from)
-    entry = {"file": entry.get("file"), "deltas": [*entry.get("deltas", []), rel]}
-    if len(entry["deltas"]) <= max_deltas:
-        return b, entry
-    merged = merge(_entry_parts(lake_dir, entry))
-    if merged.num_rows == 0:
-        return b, None
-    return b, {"file": write(b, version, merged, from_version=v_from), "deltas": []}
+    out = []
+    for b, entry, lo, hi in runs:
+        entry = _norm_entry(entry) or {}
+        rel = write(b, version, patch.slice(lo, hi - lo), kind="delta", from_version=v_from)
+        entry = {"file": entry.get("file"), "deltas": [*entry.get("deltas", []), rel]}
+        if len(entry["deltas"]) > max_deltas:
+            merged = _merge_signed(_entry_parts(lake_dir, entry), keys)
+            entry = (
+                {"file": write(b, version, merged, from_version=v_from), "deltas": []}
+                if merged.num_rows
+                else None
+            )
+        out.append((b, entry))
+    return out
 
 
 def _refresh_signed(
-    lake, name: str, *, rows, bucket_of, merge, write, rebuild,
+    lake, name: str, kernels: dict, *, keys: list[str],
     rows_per_doc: int, max_delta_rows: int, max_deltas: int,
 ) -> dict:
     """Advance a signed-bucket index to the lake's latest version — the
-    one refresh protocol of both maintained indexes:
+    one refresh protocol of both maintained indexes, given the index's
+    ``_build_signed`` kernels and its row identity ``keys``. A
+    changed doc's rows are ``rows(new)`` at +1 and ``rows(old)`` at −1,
+    less the pairs whose key nets to zero (a doc whose rows did not
+    change ships nothing); a rebuild is ``_build_signed``:
 
-    1. the index's lake version was expired → ``rebuild(version)``;
+    1. the index's lake version was expired → rebuild;
     2. no diff item → republish the buckets by reference;
     3. every item suffix-shaped and its appended delta ranges' row
        counts × ``rows_per_doc`` over ``max_delta_rows`` → rebuild,
        decided before any diff, hash or patch work (a dense tick's
        refresh was otherwise ~2× the rebuild it falls back to);
-    4. ``rows(old, new)`` per item in ``cdc._diff_map``'s dealt diff
+    4. those signed rows per item in ``cdc._diff_map``'s dealt diff
        tasks, gathered with no Dataset — signed rows of the changed
        docs only; more than ``max_delta_rows`` →
        rebuild (never silent: the cost class changes);
-    5. one stable sort by ``bucket_of(rows)`` and one ``_patch_bucket``
-       task per touched bucket — contiguous slices, not a filter of the
-       whole delta per bucket; untouched buckets carry their files
-       forward by reference;
+    5. one ``cdc._deal_by_key`` by ``bucket_of``: the touched
+       buckets, in contiguous runs, over ≤ CPUs ``_patch_task``s, each
+       given its one slice of the bucket-sorted delta — one delta file
+       per touched bucket, O(change) work, not one Ray task per bucket;
+       untouched buckets carry their files forward by reference;
     6. publish."""
-    from .cdc import _diff_map, _version_diff_plan
+    from .cdc import _changed_only, _deal_by_key, _diff_map, _version_diff_plan
 
     lake_dir = lake.lake_dir
-    m_new = lake.manifest()
-    if m_new is None:
-        raise FileNotFoundError(f"{lake_dir}: no committed manifest")
+    rows, bucket_of, write = kernels["rows"], kernels["bucket_of"], kernels["write"]
+    m_new = lake._snapshot()
     idx = load_index_manifest(lake_dir, name)
     v_from = idx["version"]
     if v_from >= m_new.version:
@@ -293,6 +320,15 @@ def _refresh_signed(
     def publish(buckets: dict) -> dict:
         _publish(lake_dir, name, m_new.version, buckets)
         return load_index_manifest(lake_dir, name)
+
+    def rebuild(version: int) -> dict:
+        return _build_signed(lake, version, **kernels)
+
+    def diff_rows(old: pa.Table, new: pa.Table) -> pa.Table:
+        old, new = _changed_only(old, new)
+        gone = rows(old)
+        gone = gone.set_column(gone.schema.get_field_index("sign"), "sign", pc.negate(gone["sign"]))
+        return _net(pa.concat_tables([rows(new), gone]), keys)
 
     try:
         m_old = lake.manifest(v_from)
@@ -311,30 +347,81 @@ def _refresh_signed(
         if est * rows_per_doc > max_delta_rows:
             return publish(rebuild(m_new.version))
 
-    delta = pa.concat_tables(ray.get(_diff_map(lake_dir, m_new, items, same_p, rows)))
+    delta = pa.concat_tables(ray.get(_diff_map(lake_dir, m_new, items, same_p, diff_rows)))
     if delta.num_rows > max_delta_rows:
         return publish(rebuild(m_new.version))
     buckets = {k: _norm_entry(v) for k, v in idx["buckets"].items()}
     if delta.num_rows:
-        ids = bucket_of(delta)
-        order = np.argsort(ids, kind="stable")
-        delta, ids = delta.take(pa.array(order)), ids[order]
-        uniq, starts = np.unique(ids, return_index=True)
-        bounds = np.append(starts, len(ids))
         refs = [
-            _patch_bucket.remote(
-                lake_dir, int(b), buckets.get(str(int(b))),
-                delta.slice(int(lo), int(hi - lo)),
-                write, merge, m_new.version, v_from, max_deltas,
+            _patch_task.remote(
+                lake_dir, [(b, buckets.get(str(b)), lo, hi) for b, lo, hi in runs],
+                patch, write, keys, m_new.version, v_from, max_deltas,
             )
-            for b, lo, hi in zip(uniq, bounds[:-1], bounds[1:])
+            for runs, patch in _deal_by_key(delta, bucket_of(delta))
         ]
-        for b, entry in ray.get(refs):
+        for b, entry in (x for out in ray.get(refs) for x in out):
             if entry is None:
                 buckets.pop(str(b), None)
             else:
                 buckets[str(b)] = entry
     return publish(buckets)
+
+
+@ray.remote
+def _build_map_task(
+    items: list, P: int, G: int, lake_dir: str, schema: pa.Schema, rows, bucket_of
+):
+    """Map side of ``_build_signed``: scan the dealt partitions, compute
+    each one's ``rows(t)``, key every row by its bucket (the exchange's
+    ``partition_id``) and scatter into G bucket groups."""
+    from .cdc import _scan, _scatter_by_partition
+
+    def keyed(t: pa.Table) -> pa.Table:
+        r = rows(t)
+        return r.append_column("partition_id", pa.array(bucket_of(r), pa.int32()))
+
+    return _scatter_by_partition(
+        _scan(lake_dir, schema, items, ["doc_id", "tokens"], fn=keyed), P, G
+    )
+
+
+@ray.remote
+def _build_write_task(version: int, write, *shards: pa.Table) -> list[dict]:
+    """Apply side of ``_build_signed``: one base file per bucket present
+    in this group's shards (``write(b, version, rows)``); an empty
+    bucket gets none."""
+    from .cdc import _limit_arrow_threads, _split_by_key
+
+    _limit_arrow_threads()
+    parts = [s for s in shards if s.num_rows]
+    if not parts:
+        return []
+    t = pa.concat_tables(parts)
+    keys, order, bounds = _split_by_key(t["partition_id"].to_numpy())
+    # one gather, then zero-copy slices: a take from a many-chunk table
+    # costs the whole table each call
+    t = t.drop_columns(["partition_id"]).take(pa.array(order))
+    return [
+        {"bucket": int(b), "file": write(int(b), version, t.slice(lo, hi - lo))}
+        for b, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+    ]
+
+
+def _build_signed(lake, version: int, q: int, rows, bucket_of, write) -> dict:
+    """Full-scan build of a signed-bucket index at lake ``version`` (the
+    creation / rebuild path, the only O(lake) step in an index's life):
+    one ``cdc._exchange`` over the lake's partitions with ``q`` buckets
+    for pids. Each index passes only its kernels. Returns the index
+    manifest's bucket map."""
+    from .cdc import _exchange, _scan_items
+
+    m = lake.manifest(version)
+    stats, _ = _exchange(
+        _scan_items(m), q, _build_map_task,
+        dict(lake_dir=lake.lake_dir, schema=m.schema, rows=rows, bucket_of=bucket_of),
+        lambda pid_lo, pid_hi, shards: _build_write_task.remote(version, write, *shards),
+    )
+    return {str(r["bucket"]): {"file": r["file"], "deltas": []} for r in stats}
 
 
 def create_dedup_index(
@@ -346,68 +433,45 @@ def create_dedup_index(
     seed: int = 1234,
 ) -> dict:
     """Build + publish the index at the lake's current version with one
-    distributed scan (band rows → one groupby-shuffle into bucket
-    files). Idempotent: re-creating with the same spec refreshes."""
-    m = lake.manifest()
-    if m is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
-    spec = {
-        "num_hashes": num_hashes,
-        "bands": bands,
-        "num_buckets": num_buckets,
-        "seed": seed,
-    }
+    distributed scan (``_build_signed``: band rows → the lake's one
+    exchange → bucket files). Idempotent: re-creating with the same
+    spec refreshes."""
+    spec = {"num_hashes": num_hashes, "bands": bands, "num_buckets": num_buckets, "seed": seed}
+    return _create_signed(
+        lake, name, spec,
+        lambda m: _build_signed(lake, m.version, **_kernels(lake, name, spec)),
+        refresh_dedup_index,
+    )
+
+
+def _create_signed(lake, name: str, spec: dict, build, refresh) -> dict:
+    """Create a signed-bucket index at the lake's current manifest
+    ``m``: ``build(m)`` returns its bucket map, published with its
+    spec. An index that exists with the same spec is refreshed."""
+    m = lake._snapshot()
     d = _dir(lake.lake_dir, name)
     sp = os.path.join(d, "spec.json")
     if os.path.exists(sp):
         if _load_spec(lake.lake_dir, name) != spec:
-            raise FileExistsError(f"dedup index {name!r} exists with a different spec")
-        return refresh_dedup_index(lake, name)
+            raise FileExistsError(f"index {name!r} exists with a different spec")
+        return refresh(lake, name)
     os.makedirs(d, exist_ok=True)
-    buckets = _build_buckets(lake, name, spec, m.version)
-    tmp = sp + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(spec, f)
-    try:
-        os.link(tmp, sp)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(tmp)
+    buckets = build(m)
+    publish_once(sp, lambda tmp: Path(tmp).write_text(json.dumps(spec)))
     _publish(lake.lake_dir, name, m.version, buckets)
     return load_index_manifest(lake.lake_dir, name)
 
 
-def _build_buckets(lake, name: str, spec: dict, version: int) -> dict:
-    """Full-scan bucket build: the creation / rebuild path (the only
-    O(lake) step in the index's life)."""
-    hasher = _hasher(spec)
-    q = spec["num_buckets"]
-    lake_dir = lake.lake_dir
-
-    def rows_with_bucket(t: pa.Table) -> pa.Table:
-        rows = _band_rows(t, hasher)
-        return rows.append_column("bucket", pa.array(_bucket_of(rows["band_hash"], q)))
-
-    def write_group(g: pa.Table) -> pa.Table:
-        b = int(g["bucket"][0].as_py())
-        rel = _write_bucket_file(
-            lake_dir, name, b, version,
-            _signed(g.select(["doc_id", "band_id", "band_hash"]), 1),
-        )
-        return pa.table({"bucket": pa.array([b], pa.int32()),
-                         "file": pa.array([rel]),
-                         "rows": pa.array([g.num_rows], pa.int64())})
-
-    from ..util.io import drop_schemaless_empties
-
-    entries = drop_schemaless_empties(
-        lake.read(columns=["doc_id", "tokens"])
-        .map_batches(rows_with_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(write_group, batch_format="pyarrow")
-    ).take_all()
-    return {str(int(e["bucket"])): {"file": e["file"], "deltas": []} for e in entries}
+def _kernels(lake, name: str, spec: dict) -> dict:
+    """The near-dup index's build kernels: band rows of a state slice,
+    their bucket, the bucket file writer."""
+    hasher, q = _hasher(spec), spec["num_buckets"]
+    return dict(
+        q=q,
+        rows=lambda t: _signed(_band_rows(t, hasher), 1),
+        bucket_of=lambda t: _bucket_of(t["band_hash"], q),
+        write=functools.partial(_write_bucket_file, lake.lake_dir, name),
+    )
 
 
 def refresh_dedup_index(
@@ -417,38 +481,10 @@ def refresh_dedup_index(
     the changed docs' band rows carry signs −old/+new and cancel
     locally (a doc whose tokens did not change ships nothing), then
     patch exactly the buckets they hash to."""
-    from .cdc import _changed_only
-
     spec = _load_spec(lake.lake_dir, name)
-    hasher = _hasher(spec)
-    q = spec["num_buckets"]
-
-    def rows(old: pa.Table, new: pa.Table) -> pa.Table:
-        old, new = _changed_only(old, new)
-        allr = pa.concat_tables(
-            [_signed(_band_rows(new, hasher), 1), _signed(_band_rows(old, hasher), -1)]
-        )
-        g = allr.group_by(["doc_id", "band_id", "band_hash"]).aggregate(
-            [("sign", "sum")]
-        )
-        g = g.filter(pc.not_equal(g["sign_sum"], 0))
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "band_id": g["band_id"],
-                "band_hash": g["band_hash"],
-                "sign": pc.cast(g["sign_sum"], pa.int8()),
-            },
-            schema=SIGNED_SCHEMA,
-        )
-
     return _refresh_signed(
-        lake, name,
-        rows=rows,
-        bucket_of=lambda t: _bucket_of(t["band_hash"], q),
-        merge=lambda parts: _signed(_merge_bucket(parts), 1),
-        write=functools.partial(_write_bucket_file, lake.lake_dir, name),
-        rebuild=lambda version: _build_buckets(lake, name, spec, version),
+        lake, name, _kernels(lake, name, spec),
+        keys=KEYS,
         rows_per_doc=2 * int(spec["bands"]),
         max_delta_rows=max_delta_rows,
         max_deltas=max_deltas,
@@ -467,6 +503,47 @@ def read_index_rows(lake, name: str, version: int | None = None) -> pa.Table:
     return t.sort_by(
         [("doc_id", "ascending"), ("band_id", "ascending")]
     )
+
+
+PAIRS_SCHEMA = pa.schema([pa.field("a", pa.string()), pa.field("b", pa.string())])
+
+
+@ray.remote
+def _probe_task(
+    lake_dir: str, name: str, max_per_key: int, runs: list[tuple], probe: pa.Table
+) -> pa.Table:
+    """Candidate pairs (a, b), a < b, of a dealt run of buckets: each
+    ``(entry, lo, hi)`` joins the probe rows ``probe[lo:hi]`` against
+    that bucket's current rows (base + delta patches merged)."""
+    out = [PAIRS_SCHEMA.empty_table()]
+    for entry, lo, hi in runs:
+        if not entry:
+            continue
+        it = _read_bucket(lake_dir, entry)
+        # degenerate-key guard: a band_hash shared by huge row counts
+        # (e.g. a corpus of empty docs) would explode the join
+        band = ["band_id", "band_hash"]
+        counts = it.group_by(band).aggregate([([], "count_all")])
+        hot = counts.filter(pc.greater(counts["count_all"], max_per_key))
+        if hot.num_rows:
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "dedup index %s: dropped %d degenerate LSH keys (> %d rows)",
+                name, hot.num_rows, max_per_key,
+            )
+            it = it.filter(
+                pc.invert(pc.is_in(_key(it, band), value_set=_key(hot, band).combine_chunks()))
+            )
+        j = probe.slice(lo, hi - lo).join(it, keys=band, join_type="inner", right_suffix="_idx")
+        a, b = j["doc_id"].combine_chunks(), j["doc_id_idx"].combine_chunks()
+        ne = pc.invert(pc.equal(a, b))
+        a, b = a.filter(ne), b.filter(ne)
+        out.append(pa.table(
+            {"a": pc.min_element_wise(a, b), "b": pc.max_element_wise(a, b)},
+            schema=PAIRS_SCHEMA,
+        ))
+    return pa.concat_tables(out)
 
 
 def candidate_pairs_for(
@@ -489,8 +566,9 @@ def candidate_pairs_for(
     added. Degenerate LSH keys with more than ``max_per_key`` index
     rows are dropped with a logged count (never silently O(n²)). The
     changed docs' probe rows come from ``cdc._diff_map``'s dealt diff
-    tasks, with no Dataset."""
-    from .cdc import _diff_map, _diff_snapshots, _version_diff_plan
+    tasks, with no Dataset; the buckets they hash to are dealt in
+    contiguous runs over ≤ CPUs ``_probe_task``s."""
+    from .cdc import _deal_by_key, _diff_map, _diff_snapshots, _version_diff_plan
 
     idx = load_index_manifest(lake.lake_dir, name, version)
     spec = _load_spec(lake.lake_dir, name)
@@ -507,67 +585,24 @@ def candidate_pairs_for(
 
     refs = _diff_map(lake_dir, m_new, items, same_p, probe_rows)
     probe = pa.concat_tables([ROWS_SCHEMA.empty_table(), *ray.get(refs)])
-    pairs_schema = pa.schema([pa.field("a", pa.string()), pa.field("b", pa.string())])
+    out_schema = (
+        PAIRS_SCHEMA.append(pa.field("jaccard", pa.float64()))
+        if verify_threshold is not None
+        else PAIRS_SCHEMA
+    )
     if probe.num_rows == 0:
-        return (
-            pairs_schema.append(pa.field("jaccard", pa.float64())).empty_table()
-            if verify_threshold is not None
-            else pairs_schema.empty_table()
+        return out_schema.empty_table()
+    refs = [
+        _probe_task.remote(
+            lake_dir, name, max_per_key,
+            [(_norm_entry(idx["buckets"].get(str(b))), lo, hi) for b, lo, hi in runs],
+            rows,
         )
-
-    bucket_ids = _bucket_of(probe["band_hash"], q)
-
-    @ray.remote(num_cpus=1)
-    def probe_bucket(entry: dict | None, pr: pa.Table) -> pa.Table:
-        if not entry:
-            return pairs_schema.empty_table()
-        it = _read_bucket(lake_dir, entry)  # base + delta patches merged
-        # degenerate-key guard: a band_hash shared by huge row counts
-        # (e.g. a corpus of empty docs) would explode the join
-        counts = it.group_by(["band_id", "band_hash"]).aggregate([([], "count_all")])
-        hot = counts.filter(pc.greater(counts["count_all"], max_per_key))
-        if hot.num_rows:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "dedup index %s: dropped %d degenerate LSH keys (> %d rows)",
-                name, hot.num_rows, max_per_key,
-            )
-            sep = pa.scalar("\x1f")
-            def key(t):
-                return pc.binary_join_element_wise(
-                    pc.cast(t["band_id"], pa.string()),
-                    pc.cast(t["band_hash"], pa.string()),
-                    sep,
-                )
-            it = it.filter(
-                pc.invert(pc.is_in(key(it), value_set=key(hot).combine_chunks()))
-            )
-        j = pr.join(
-            it, keys=["band_id", "band_hash"], join_type="inner",
-            right_suffix="_idx",
-        )
-        if j.num_rows == 0:
-            return pairs_schema.empty_table()
-        a = j["doc_id"].combine_chunks()
-        b = j["doc_id_idx"].combine_chunks()
-        ne = pc.invert(pc.equal(a, b))
-        a, b = a.filter(ne), b.filter(ne)
-        lo = pc.min_element_wise(a, b)
-        hi = pc.max_element_wise(a, b)
-        return pa.table({"a": lo, "b": hi}, schema=pairs_schema)
-
-    refs = []
-    for b in np.unique(bucket_ids):
-        pr = probe.filter(pa.array(bucket_ids == b))
-        refs.append(probe_bucket.remote(_norm_entry(idx["buckets"].get(str(int(b)))), pr))
+        for runs, rows in _deal_by_key(probe, _bucket_of(probe["band_hash"], q))
+    ]
     parts = [t for t in ray.get(refs) if t.num_rows]
     if not parts:
-        return (
-            pairs_schema.append(pa.field("jaccard", pa.float64())).empty_table()
-            if verify_threshold is not None
-            else pairs_schema.empty_table()
-        )
+        return out_schema.empty_table()
     pairs = (
         pa.concat_tables(parts)
         .group_by(["a", "b"])

@@ -47,11 +47,14 @@ from __future__ import annotations
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from ..state.manifest import publish_once
 
 _AGG_DIR = "_aggregates"
 _AGG_RE = re.compile(r"^agg_v(\d{6})\.parquet$")
@@ -165,20 +168,12 @@ def _combine(partials: pa.Table, group_by: list[str], sums: list[str]) -> pa.Tab
 
 
 def _publish(lake_dir: str, name: str, version: int, t: pa.Table) -> None:
-    """Exclusive snapshot publish: tmp + os.link (EEXIST = a concurrent
-    refresher already published this version — equivalent content by
-    construction, so losing the race is a no-op)."""
+    """Exclusive snapshot publish (``publish_once``: a concurrent
+    refresher that published this version first wins)."""
     d = _view_dir(lake_dir, name)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, f"agg_v{version:06d}.parquet")
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(t, tmp)
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(tmp)
+    publish_once(path, lambda tmp: pq.write_table(t, tmp))
 
 
 def read_aggregate(lake, name: str, version: int | None = None) -> pa.Table:
@@ -198,24 +193,25 @@ def read_aggregate(lake, name: str, version: int | None = None) -> pa.Table:
     return pq.read_table(os.path.join(d, f"agg_v{version:06d}.parquet"))
 
 
-def _full_partials(lake, spec: dict, tgt: pa.Schema):
-    """Distributed full-scan partials (creation / expired-base rebuild):
-    one grouped partial per state block — only (groups × blocks) tiny
-    rows ever leave the workers."""
-    group_by, sums, derive = spec["group_by"], spec["sums"], spec["derive"]
-
-    def part(batch: pa.Table) -> pa.Table:
-        return _signed_partial(batch, group_by, sums, derive, tgt, 1)
-
+def _full_partials(lake, spec: dict, tgt: pa.Schema, m):
+    """Distributed full-scan partials of manifest ``m`` (creation /
+    expired-base rebuild): ``cdc._scan_map``'s dealt scan tasks reduce
+    each partition to its grouped partial, so only (groups × partitions)
+    tiny rows ever leave the workers."""
     import ray
 
+    from .cdc import _scan_map
+
+    group_by, sums, derive = spec["group_by"], spec["sums"], spec["derive"]
     cols = sorted(
         set(group_by)
         | {c for c in sums if c not in {o for o, _, _ in derive}}
         | {src for _, _, src in derive}
     )
-    ds = lake.read(columns=cols).map_batches(part, batch_format="pyarrow")
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    def part(t: pa.Table) -> pa.Table:
+        return _signed_partial(t, group_by, sums, derive, tgt, 1)
+
+    tables = [t for t in ray.get(_scan_map(lake.lake_dir, m, cols, part)) if t.num_rows]
     return pa.concat_tables(tables or [tgt.empty_table()])
 
 
@@ -229,9 +225,7 @@ def create_aggregate(
     """Create + publish the view at the lake's current version with one
     distributed full scan (the only O(lake) step in the view's life).
     Idempotent: re-creating with the same spec refreshes instead."""
-    m = lake.manifest()
-    if m is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
+    m = lake._snapshot()
     derive = [list(d) for d in (derive or [])]
     spec = {"group_by": list(group_by), "sums": list(sums), "derive": derive}
     sp = _spec_path(lake.lake_dir, name)
@@ -244,19 +238,10 @@ def create_aggregate(
         if schema.get_field_index(c) < 0:
             raise KeyError(f"aggregate {name!r}: column {c!r} not in lake schema")
     target = _partial_schema(schema, group_by, sums, derive)
-    partials = _full_partials(lake, spec, target)
+    partials = _full_partials(lake, spec, target, m)
     out = _combine(partials, group_by, sums)
-    d = _view_dir(lake.lake_dir, name)
-    os.makedirs(d, exist_ok=True)
-    tmp = sp + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(spec, f)
-    try:
-        os.link(tmp, sp)
-    except FileExistsError:
-        pass
-    finally:
-        os.unlink(tmp)
+    os.makedirs(_view_dir(lake.lake_dir, name), exist_ok=True)
+    publish_once(sp, lambda tmp: Path(tmp).write_text(json.dumps(spec)))
     _publish(lake.lake_dir, name, m.version, out)
     return read_aggregate(lake, name)
 
@@ -273,9 +258,7 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
 
     from .cdc import _diff_map, _version_diff_plan
 
-    m_new = lake.manifest()
-    if m_new is None:
-        raise FileNotFoundError(f"{lake.lake_dir}: no committed manifest")
+    m_new = lake._snapshot()
     vs = agg_versions(lake.lake_dir, name)
     if not vs:
         raise FileNotFoundError(f"aggregate {name!r}: not created")
@@ -293,7 +276,7 @@ def refresh_aggregate(lake, name: str) -> pa.Table:
         m_old = None
     if m_old is None:
         # reflected version expired → rebuild from a full scan
-        partials = _full_partials(lake, spec, target)
+        partials = _full_partials(lake, spec, target, m_new)
         out = _combine(partials, group_by, sums)
         _publish(lake.lake_dir, name, m_new.version, out)
         return read_aggregate(lake, name)

@@ -11,15 +11,16 @@ committed version span of a source ``CDCLake`` into a destination lake:
 1. **bootstrap** — dst uninitialized: ship the source's full committed
    snapshot (``src.read()`` pinned at a version) through
    ``dst.init_from`` (distributed hash exchange, never a driver
-   collect).
-2. **incremental** — feed = ``src.changes(cursor, v_to)`` (O(changed
+   collect); ``rows_shipped`` is the dst manifest's row count.
+2. **incremental** — the change feed of (cursor, v_to] (O(changed
    docs), partition-pruned at the manifest) mapped to change events:
    ``lsn`` = the source watermark at ``v_to``, 'D' rows ship null
-   payloads. The feed is STAGED as parquet under
-   ``dst/_replication/`` with a per-file CRC32 (the sender checksum),
-   re-read and CONFIRMED before apply (the receiver's
-   CONFIRM_TRANSACTION), then applied as one dst tick (``replay`` —
-   LWW watermark dedup makes re-application a no-op).
+   payloads. ``cdc._diff_map``'s dealt diff tasks STAGE it as parquet
+   under ``dst/_replication/`` (no feed row passes through the
+   driver) with a per-file CRC32 (the sender checksum), re-read and
+   CONFIRMED before apply (the receiver's CONFIRM_TRANSACTION), then
+   applied as one dst tick (``replay`` — LWW watermark dedup makes
+   re-application a no-op). No Ray Data executor starts in either.
 3. **ack ordering** — the replication cursor (last shipped source
    version) is advanced ONLY after the destination manifest is
    durable, the same commit-after-session ordering as the segment
@@ -38,16 +39,21 @@ raises ``ReplicationCursorExpired`` rather than silently resyncing.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 from ..util.hashing import row_image_hash
-from .cdc import CDCLake
+from .cdc import CDCLake, _diff_map, _diff_snapshots, _scan_map, _version_diff_plan
 
 
 class ReplicationChecksumError(RuntimeError):
@@ -119,11 +125,31 @@ def _crc32_of_file(path: str, chunk: int = 1 << 20) -> int:
             c = zlib.crc32(b, c)
 
 
+_STAGED = pa.schema([pa.field("file", pa.string()), pa.field("crc32", pa.int64())])
+
+
+def _stage_events(out_dir: str, events: pa.Table) -> pa.Table:
+    """Write one staged feed file into the unsealed staging dir
+    ``out_dir``, named by the md5 of its bytes, and return its (file,
+    crc32) row; no rows, no file."""
+    if events.num_rows == 0:
+        return _STAGED.empty_table()
+    sink = io.BytesIO()
+    pq.write_table(events, sink)
+    data = sink.getvalue()
+    name = f"feed-{hashlib.md5(data).hexdigest()[:16]}.parquet"
+    Path(out_dir, name).write_bytes(data)
+    return pa.table({"file": [name], "crc32": [zlib.crc32(data)]}, schema=_STAGED)
+
+
 def _stage_feed(
     src: CDCLake, dst_lake_dir: str, v_from: int, v_to: int, lsn: int
 ) -> tuple[str, dict[str, int]]:
     """Write the change feed for (v_from, v_to] as sealed parquet under
     the destination's ``_replication/`` dir, with a checksum sidecar.
+    The diff tasks (``cdc._diff_map``) write each changed partition's
+    events straight into the staging dir and return only the file's
+    name and CRC32, so no feed row passes through the driver.
     Content-addressed by the span, atomic (tmp dir + rename), reused if
     already sealed — an interrupted earlier stage never half-applies."""
     name = f"feed-v{v_from}-to-v{v_to}"
@@ -132,17 +158,18 @@ def _stage_feed(
     if os.path.exists(sidecar):  # sealed by an earlier (possibly crashed) trigger
         with open(sidecar) as f:
             return final, json.load(f)
-    feed = src.changes(v_from, v_to)
+    m_new = src._snapshot(v_to)
+    items, same_p = _version_diff_plan(src._snapshot(v_from), m_new)
     tmp = final + f".tmp.{os.getpid()}"
     os.makedirs(tmp, exist_ok=True)
-    feed.map_batches(
-        lambda b: _feed_to_events(b, lsn), batch_format="pyarrow"
-    ).write_parquet(tmp)
-    crcs = {
-        f: _crc32_of_file(os.path.join(tmp, f))
-        for f in sorted(os.listdir(tmp))
-        if f.endswith(".parquet")
-    }
+
+    def stage(old: pa.Table, new: pa.Table) -> pa.Table:
+        return _stage_events(tmp, _feed_to_events(_diff_snapshots(old, new), lsn))
+
+    staged = pa.concat_tables(
+        [_STAGED.empty_table(), *ray.get(_diff_map(src.lake_dir, m_new, items, same_p, stage))]
+    )
+    crcs = dict(sorted(zip(staged["file"].to_pylist(), staged["crc32"].to_pylist())))
     with open(os.path.join(tmp, "_checksums.json"), "w") as f:
         json.dump(crcs, f, indent=1)  # seal marker written LAST
     if os.path.exists(final):  # lost a race to a concurrent trigger
@@ -194,7 +221,7 @@ def replicate(
             "mode": "bootstrap",
             "src_version": src_m.version,
             "dst_version": dst.manifest().version,
-            "rows_shipped": int(dst.read().count()),
+            "rows_shipped": sum(e["rows"] for e in dst.manifest().partitions.values()),
         }
 
     if cursor is None:
@@ -232,50 +259,33 @@ def replicate(
         "mode": "incremental",
         "src_version": v_to,
         "span": [v_from, v_to],
-        "rows_shipped": int(sum(e["rows"] for e in _feed_meta(files))),
+        "rows_shipped": sum(pq.read_metadata(f).num_rows for f in files),
         "dst_version": dst.manifest().version,
         "applied": st is not None,
         "feed_crc32": {f: c for f, c in crcs.items()},
     }
 
 
-def _feed_meta(files: list[str]) -> list[dict]:
-    import pyarrow.parquet as pq
-
-    return [{"rows": pq.read_metadata(f).num_rows} for f in files]
-
-
 def verify_replica(src: CDCLake, dst: CDCLake) -> dict:
     """Cross-lake state verification: distributed, order- and
     partitioning-insensitive fingerprint of each lake's committed state
     (XOR of per-row image hashes + row count), compared. O(data) read
-    but only two tiny aggregates travel — works across different
-    partition counts and merge-on-read overlays. This is the
-    transaction-confirmation step promoted to a whole-lake invariant
-    (the same role CDCLake.verify plays within one lake)."""
+    in ``cdc._scan_map``'s dealt scan tasks, but only one tiny row per
+    partition travels — works across different partition counts and
+    merge-on-read overlays. This is the transaction-confirmation step
+    promoted to a whole-lake invariant (the same role CDCLake.verify
+    plays within one lake)."""
+
+    def part_fp(t: pa.Table) -> pa.Table:
+        h = row_image_hash(t, t.schema.names) if t.num_rows else [0]
+        return pa.table({
+            "rows": pa.array([t.num_rows], pa.int64()),
+            "xor": pa.array([int(np.bitwise_xor.reduce(h))], pa.uint64()),
+        })
 
     def fingerprint(lake: CDCLake) -> tuple[int, int]:
-        m = lake.manifest()
-        cols = [n for n in m.schema.names]
-
-        def block_fp(t: pa.Table) -> pa.Table:
-            h = row_image_hash(t, cols)
-            return pa.table(
-                {
-                    "rows": pa.array([t.num_rows], pa.int64()),
-                    "xor": pa.array(
-                        [int(np.bitwise_xor.reduce(h)) if t.num_rows else 0],
-                        pa.uint64(),
-                    ),
-                }
-            )
-
-        parts = lake.read().map_batches(block_fp, batch_format="pyarrow").take_all()
-        rows = sum(r["rows"] for r in parts)
-        x = 0
-        for r in parts:
-            x ^= int(r["xor"])
-        return rows, x
+        parts = pa.concat_tables(ray.get(_scan_map(lake.lake_dir, lake.manifest(), fn=part_fp)))
+        return sum(parts["rows"].to_pylist()), int(np.bitwise_xor.reduce(parts["xor"].to_numpy()))
 
     (src_rows, src_fp), (dst_rows, dst_fp) = fingerprint(src), fingerprint(dst)
     return {

@@ -291,6 +291,20 @@ def publish_part(tmp: str, out: str) -> None:
             pass
 
 
+def publish_once(path: str, write) -> None:
+    """First-wins publish of a derived file: ``write(tmp)``, then
+    ``os.link``; EEXIST means a concurrent writer already published
+    content equivalent by construction, so losing is a no-op."""
+    tmp = path + f".tmp-{os.getpid()}"
+    write(tmp)
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        pass
+    finally:
+        os.unlink(tmp)
+
+
 def commit_manifest(lake_dir: str, manifest: Manifest) -> str:
     """Phase-2 atomic publish — atomic AND exclusive: the version file
     is linked into place with ``os.link``, which fails with EEXIST if

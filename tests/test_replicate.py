@@ -124,3 +124,21 @@ def test_read_has_no_phantom_partition_column(rig):
     src, ev_dir, _ = rig
     src.replay(ev_dir)
     assert "p" not in src.read().schema().names
+
+
+def test_replica_of_lake_with_empty_partitions(ray_session, tmp_path):
+    """Bootstrap and fingerprint cover partitions that hold no rows."""
+    import pyarrow as pa
+
+    from nifi_ray.schema import BASE_SCHEMA
+
+    t = pa.table(
+        {"doc_id": ["a", "b", "c"], "tokens": [[1, 2], [3], []], "n_tok": [2, 1, 0],
+         "source": ["x"] * 3},
+        schema=BASE_SCHEMA,
+    )
+    src = CDCLake(str(tmp_path / "src"))
+    src.init_from(t, num_partitions=8)
+    assert replicate(src, str(tmp_path / "dst"))["rows_shipped"] == 3
+    rep = verify_replica(src, CDCLake(str(tmp_path / "dst")))
+    assert rep["match"] and rep["src_rows"] == 3, rep
