@@ -2,10 +2,10 @@
 
 Dataflow per tick:
 
-    read events (fully-applied files skipped via footer stats —
-                 sources/binlog.py; a file whose footer proves every
-                 lsn lies in the tick's range with no nulls is read
-                 plainly, the rest push the lsn filter to row groups)
+    read events (one footer pass plans the tick — sources/binlog.py:
+                 fully-applied files skipped, row groups chosen by lsn
+                 min/max and null counts; each file read once, its
+                 null-LSN rows quarantined, the range filtered)
       → premerge        stateless zero-copy Arrow: validate/quarantine,
                         drop applied lsns, batch-local LWW collapse
                         (the skew absorber), then stamp partition_id
@@ -258,34 +258,9 @@ def _collapse_group(shards, lo: int, schema: pa.Schema):
         }, t.take(pa.array(order[bounds[j]:bounds[j + 1]]))
 
 
-def _lsn_footer(md: pq.FileMetaData, lo: int, lsn_hi: int | None) -> tuple[bool, bool]:
-    """(proven, has_nulls) for an event file's ``lsn`` column, from its
-    footer alone. ``proven``: every row group has lsn stats with
-    ``null_count == 0``, ``min > lo`` and ``max <= lsn_hi``, so the LSN
-    read filter would drop nothing. ``has_nulls``: some row group
-    reports lsn nulls, or has no stats to rule them out."""
-    ci = md.schema.to_arrow_schema().get_field_index("lsn")
-    if ci < 0:
-        return False, False
-    proven, has_nulls = True, False
-    for rg in range(md.num_row_groups):
-        st = md.row_group(rg).column(ci).statistics
-        if st is None or (st.null_count or 0) > 0:
-            has_nulls = True
-            proven = False
-        elif not (
-            st.has_null_count
-            and st.has_min_max
-            and st.min > lo
-            and (lsn_hi is None or st.max <= lsn_hi)
-        ):
-            proven = False
-    return proven, has_nulls
-
-
 @ray.remote
 def _cdc_map_task(
-    files: list[str],
+    items: list[tuple[str, list[int]]],
     P: int,
     lo: int,
     lsn_hi: int | None,
@@ -298,28 +273,27 @@ def _cdc_map_task(
     objects. Pure → retryable (quarantine parts are
     content-addressed, so a retry rewrites rather than duplicates).
 
-    Each file is opened once and its footer parsed once
-    (``_lsn_footer``). When the footer proves the whole file lies in
-    (lo, lsn_hi] with no null LSNs, the same ``ParquetFile`` reads it
-    plainly; otherwise the LSN range filter is pushed down to the row
-    groups. That filter silently drops NULL-lsn rows, so
-    files whose footer reports lsn nulls get a second is_null-filtered
-    read routed straight to quarantine, one part per file."""
-    import pyarrow.dataset as pads
-
+    Each ``(path, row_groups)`` item of the tick plan
+    (``prune_event_files``) is one plain read of its planned row
+    groups. Its null-LSN rows go to quarantine, one part per file, and
+    the ``lo < lsn <= lsn_hi`` filter runs per file before ``_premerge``
+    validates, so a malformed row at or below the watermark is never
+    quarantined again."""
     _limit_arrow_threads()
-    filters = [("lsn", ">", lo)]
-    if lsn_hi is not None:
-        filters.append(("lsn", "<=", lsn_hi))
     tables = []
-    for f in files:
-        with pq.ParquetFile(f) as pf:
-            proven, has_nulls = _lsn_footer(pf.metadata, lo, lsn_hi)
-            tables.append(pf.read() if proven else pq.read_table(f, filters=filters))
-        if has_nulls and quarantine_dir:
-            bad = pads.dataset(f).to_table(filter=pc.field("lsn").is_null())
-            if bad.num_rows:
-                _write_quarantine(quarantine_dir, bad, source=f)
+    for path, row_groups in items:
+        with pq.ParquetFile(path) as pf:
+            t = pf.read_row_groups(row_groups)
+        lsn = t["lsn"]
+        if lsn.null_count and quarantine_dir:
+            _write_quarantine(quarantine_dir, t.filter(pc.is_null(lsn)), source=path)
+        keep = pc.greater(lsn, lo)
+        if lsn_hi is not None:
+            keep = pc.and_(keep, pc.less_equal(lsn, lsn_hi))
+        # the filter copies the table: only when it can drop a row
+        if lsn.null_count or not pc.all(keep).as_py():
+            t = t.filter(keep)
+        tables.append(t)
     t = pa.concat_tables(tables, promote_options="permissive")
     t = _premerge(t, P, lo, quarantine_dir)
     return _scatter_by_partition(t, P, G)
@@ -388,6 +362,23 @@ def _split_by_key(keys: np.ndarray, starts: np.ndarray | None = None):
     return starts, order, np.append(np.searchsorted(s, starts), len(s))
 
 
+def _split_shards(shards, starts: np.ndarray | None = None) -> list[tuple[int, pa.Table]]:
+    """The one group-write kernel: ``shards`` grouped by ``partition_id``
+    (``_split_by_key``, ``starts`` as there) as ``(key, rows)`` runs,
+    ``rows`` a zero-copy slice of one gather: a take per key from a
+    many-chunk table would cost the whole table each call."""
+    parts = [s for s in shards if s.num_rows]
+    if not parts:
+        return []
+    t = pa.concat_tables(parts, promote_options="permissive")
+    keys, order, bounds = _split_by_key(t["partition_id"].to_numpy(), starts)
+    t = t.drop_columns(["partition_id"]).take(pa.array(order))
+    return [
+        (int(k), t.slice(lo, hi - lo))
+        for k, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+    ]
+
+
 def _deal_by_key(t: pa.Table, keys: np.ndarray) -> list[tuple[list, pa.Table]]:
     """``t``'s rows grouped by integer ``keys`` (``_split_by_key``) and
     dealt in contiguous key runs (``_deal``): one ``(runs, rows)`` per
@@ -438,22 +429,14 @@ def _rescale_write_task(
     tick_token: str | None, *shards: pa.Table
 ) -> list[dict]:
     """Write one full part per pid in [pid_lo, pid_hi) from this group's
-    shards, each pid's rows sliced out of one ``_split_by_key`` — an
-    empty partition gets an empty part, so the manifest names every
-    partition."""
+    shards (``_split_shards``) — an empty partition gets an empty part,
+    so the manifest names every partition."""
     _limit_arrow_threads()
-    parts = [s for s in shards if s.num_rows]
-    block = pa.concat_tables(parts, promote_options="permissive") if parts else None
-    if block is not None:
-        pids = block["partition_id"].to_numpy()
-        block = block.drop_columns(["partition_id"])
-        _, order, bounds = _split_by_key(pids, np.arange(pid_lo, pid_hi))
+    runs = dict(_split_shards(shards, np.arange(pid_lo, pid_hi)))
     out = []
-    for j, k in enumerate(range(pid_lo, pid_hi)):
-        t = schema.empty_table()
-        if block is not None:
-            t = block.take(pa.array(order[bounds[j]:bounds[j + 1]]))
-            t = conform(t.sort_by("doc_id"), schema)
+    for k in range(pid_lo, pid_hi):
+        t = runs.get(k)
+        t = schema.empty_table() if t is None else conform(t.sort_by("doc_id"), schema)
         rel = part_file(k, version, tick_token)
         _write_part(lake_dir, rel, t)
         out.append(_part_stats(k, rel, t))
@@ -998,6 +981,28 @@ def _diff_map(lake_dir: str, m_new, items: list[dict], same_p: bool, fn) -> list
     ]
 
 
+def _payload_schema(schemas, target: pa.Schema | None = None) -> pa.Schema | None:
+    """``target`` unified with each of ``schemas`` less its ``lsn`` and
+    ``op`` log columns, in order (None when both are empty)."""
+    for s in schemas:
+        s = pa.schema([f for f in s if f.name not in ("lsn", "op")])
+        target = s if target is None else unify(target, s)
+    return target
+
+
+def _tick_token(*inputs) -> str:
+    """A lake op's file-name token, deterministic in its INPUTS: an
+    identical retry (Ray task retry, crash re-run) writes the same names
+    and bytes (``publish_part`` dedups), while any other attempt at the
+    same version (a resumed tick with other bounds, a concurrent writer
+    with other events) writes under fresh names and can never clobber
+    files another writer's manifest might reference."""
+    return hashlib.md5(json.dumps(list(inputs)).encode()).hexdigest()[:8]
+
+
+_MAX_CONFLICT_RETRIES = 3
+
+
 class CDCLake:
     """A hash-partitioned, manifest-committed, copy-on-write Parquet lake."""
 
@@ -1036,12 +1041,15 @@ class CDCLake:
         else:  # ray.data.Dataset
             ds = base.materialize()
             inputs, schemas = ds.to_arrow_refs(), [ds.schema().base_schema]
-        target = None
-        for s in schemas:
-            s = pa.schema([f for f in s if f.name not in ("lsn", "op")])
-            target = s if target is None else unify(target, s)
+        target = _payload_schema(schemas)
         if target is None:
             raise FileNotFoundError("no base files to initialize from")
+        return self._init(inputs, target, num_partitions)
+
+    def _init(self, inputs: list, target: pa.Schema, num_partitions: int) -> Manifest:
+        """Commit manifest v1 from whole-row ``inputs`` (parquet paths or
+        object refs of Arrow tables) under payload schema ``target``:
+        one ``_exchange`` with the init/rescale tasks."""
         target = target.remove_metadata()
         os.makedirs(self.lake_dir, exist_ok=True)
         stats, plan = _exchange(
@@ -1417,7 +1425,6 @@ class CDCLake:
         lsn_hi: int | None = None,
         mode: str = "cow",
         from_lsn: int | None = None,
-        max_conflict_retries: int = 3,
     ) -> TickStats | None:
         """Apply all events with ``applied_through < lsn <= lsn_hi``;
         optimistic concurrency against other writers on the same lake.
@@ -1432,7 +1439,7 @@ class CDCLake:
         re-runs, and the watermark dedup drops whatever the winner
         already applied (exactly-once preserved — possibly a no-op
         retry). Orphan parts from the losing attempt are invisible and
-        reclaimed by ``gc_orphans``. After ``max_conflict_retries``
+        reclaimed by ``gc_orphans``. After ``_MAX_CONFLICT_RETRIES``
         losses the conflict propagates."""
         def is_conflict(e: BaseException | None) -> bool:
             # Ray (and Ray Data) may wrap worker exceptions; walk the
@@ -1445,7 +1452,7 @@ class CDCLake:
             return False
 
         last: Exception | None = None
-        for _ in range(max_conflict_retries + 1):
+        for _ in range(_MAX_CONFLICT_RETRIES + 1):
             try:
                 return self._replay_once(event_paths, lsn_hi, mode, from_lsn)
             except Exception as e:
@@ -1502,40 +1509,26 @@ class CDCLake:
             raise FileNotFoundError("lake not initialized (no manifest)")
         lo = m.applied_through if from_lsn is None else from_lsn
 
-        # binlog-tail: footer-stat prune → whole already-applied files
-        # are never opened (sources/binlog.py)
-        files = list_event_files(event_paths)
-        files, prune_stats = prune_event_files(files, lo, lsn_hi)
-        if not files:
+        # binlog-tail: one footer pass plans the tick → whole applied
+        # files are never opened, kept ones name their row groups
+        plan_files, prune_stats = prune_event_files(
+            list_event_files(event_paths), lo, lsn_hi
+        )
+        if not plan_files:
             return None
 
         # Schema evolution check happens BEFORE the exchange: unify the
-        # lake schema with every kept file's FOOTER schema (metadata
-        # only — handles mid-stream evolution), bump on change.
-        ev_fields = [
-            pa.schema(
-                [f for f in pq.read_schema(f_) if f.name not in ("lsn", "op")]
-            )
-            for f_ in files
-        ]
-        target = m.schema
-        for s in ev_fields:
-            target = unify(target, s)
+        # lake schema with every kept file's FOOTER schema (from the
+        # plan — handles mid-stream evolution), bump on change.
+        target = _payload_schema([f.schema for f in plan_files], m.schema)
         schema_version = m.schema_version + (0 if target.equals(m.schema) else 1)
 
         next_version = m.version + 1
         q_before = set(_quarantine_files(self._qdir))
 
-        # tick token: deterministic in the tick's INPUTS — an identical
-        # retry (Ray task retry, crash re-run of the same tick)
-        # regenerates the same part names and bytes (publish_part
-        # dedups), while any different attempt at this version (resumed
-        # tick with other bounds, concurrent writer with other events)
-        # writes under fresh names and can never clobber files another
-        # writer's manifest might reference
-        tick_token = hashlib.md5(
-            json.dumps([m.version, lo, lsn_hi, mode, sorted(files)]).encode()
-        ).hexdigest()[:8]
+        tick_token = _tick_token(
+            m.version, lo, lsn_hi, mode, sorted(f.path for f in plan_files)
+        )
         if mode == "delta":
             def apply_call(pid_lo, pid_hi, shards):
                 return _cdc_delta_task.remote(
@@ -1555,7 +1548,8 @@ class CDCLake:
                     tick_token, *shards,
                 )
         stats_rows, plan = _exchange(
-            files, m.num_partitions, _cdc_map_task,
+            [(f.path, f.row_groups) for f in plan_files], m.num_partitions,
+            _cdc_map_task,
             {"lo": lo, "lsn_hi": lsn_hi, "quarantine_dir": self._qdir},
             apply_call,
         )
@@ -1650,9 +1644,7 @@ class CDCLake:
             self.compact()
             m = self.manifest()
         P = new_num_partitions
-        tick_token = hashlib.md5(
-            json.dumps([m.version, "rescale", P]).encode()
-        ).hexdigest()[:8]
+        tick_token = _tick_token(m.version, "rescale", P)
         stats, plan = _exchange(
             m.data_files(self.lake_dir), P, _rescale_map_task, {},
             lambda pid_lo, pid_hi, shards: _rescale_write_task.remote(
@@ -1806,9 +1798,7 @@ class CDCLake:
         }
         if not todo:
             return None
-        tick_token = hashlib.md5(
-            json.dumps([m.version, "compact"]).encode()
-        ).hexdigest()[:8]
+        tick_token = _tick_token(m.version, "compact")
         groups = _deal(
             [(k, e.get("file"), _delta_refs(e)) for k, e in sorted(todo.items())]
         )

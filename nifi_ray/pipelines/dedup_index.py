@@ -390,20 +390,12 @@ def _build_write_task(version: int, write, *shards: pa.Table) -> list[dict]:
     """Apply side of ``_build_signed``: one base file per bucket present
     in this group's shards (``write(b, version, rows)``); an empty
     bucket gets none."""
-    from .cdc import _limit_arrow_threads, _split_by_key
+    from .cdc import _limit_arrow_threads, _split_shards
 
     _limit_arrow_threads()
-    parts = [s for s in shards if s.num_rows]
-    if not parts:
-        return []
-    t = pa.concat_tables(parts)
-    keys, order, bounds = _split_by_key(t["partition_id"].to_numpy())
-    # one gather, then zero-copy slices: a take from a many-chunk table
-    # costs the whole table each call
-    t = t.drop_columns(["partition_id"]).take(pa.array(order))
     return [
-        {"bucket": int(b), "file": write(int(b), version, t.slice(lo, hi - lo))}
-        for b, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+        {"bucket": b, "file": write(b, version, rows)}
+        for b, rows in _split_shards(shards)
     ]
 
 

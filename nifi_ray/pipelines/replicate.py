@@ -9,9 +9,10 @@ commits after confirmation). Here the "transaction" replicates one
 committed version span of a source ``CDCLake`` into a destination lake:
 
 1. **bootstrap** — dst uninitialized: ship the source's full committed
-   snapshot (``src.read()`` pinned at a version) through
-   ``dst.init_from`` (distributed hash exchange, never a driver
-   collect); ``rows_shipped`` is the dst manifest's row count.
+   snapshot (``cdc._scan_map``'s scan tasks pinned at a version) into
+   the init exchange (distributed hash exchange, never a driver
+   collect, no Dataset); ``rows_shipped`` is the dst manifest's row
+   count.
 2. **incremental** — the change feed of (cursor, v_to] (O(changed
    docs), partition-pruned at the manifest) mapped to change events:
    ``lsn`` = the source watermark at ``v_to``, 'D' rows ship null
@@ -206,9 +207,10 @@ def replicate(
     cursor = _read_cursor(dst_lake_dir)
 
     if dst.manifest() is None:
-        # bootstrap: full snapshot at the pinned source version
+        # bootstrap: full snapshot at the pinned source version, its
+        # scan tasks' blocks fed straight into the init exchange
         p = num_partitions or src_m.num_partitions
-        dst.init_from(src.read(version=src_m.version), num_partitions=p)
+        dst._init(_scan_map(src.lake_dir, src_m), src_m.schema, p)
         _write_cursor(
             dst_lake_dir,
             {

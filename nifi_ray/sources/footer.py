@@ -37,26 +37,22 @@ def footer_stats(paths: list[str], columns: list[str]):
     def per_file(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
+        from .binlog import row_group_stats
+
         out_rows = []
         for path in batch["path"].to_pylist():
             md = pq.ParquetFile(path).metadata
-            names = {md.schema.column(i).name: i for i in range(md.num_columns)}
             row = {"n_rows": md.num_rows}
-            mins: dict[str, object] = {}
-            maxs: dict[str, object] = {}
-            for rg in range(md.num_row_groups):
-                for c in columns:
-                    st = md.row_group(rg).column(names[c]).statistics
-                    if st is None or not st.has_min_max:
+            for c in columns:
+                stats = row_group_stats(md, c)
+                for rg, (lo, hi, _) in enumerate(stats):
+                    if lo is None or hi is None:
                         raise ValueError(
                             f"footer_stats: {path} row group {rg} has no "
                             f"min/max statistics for {c!r}"
                         )
-                    mins[c] = st.min if c not in mins else min(mins[c], st.min)
-                    maxs[c] = st.max if c not in maxs else max(maxs[c], st.max)
-            for c in columns:
-                row[f"min_{c}"] = mins[c]
-                row[f"max_{c}"] = maxs[c]
+                row[f"min_{c}"] = min(s[0] for s in stats)
+                row[f"max_{c}"] = max(s[1] for s in stats)
             out_rows.append(row)
         cols = {k: [r[k] for r in out_rows] for k in out_rows[0]}
         return pa.table(cols)

@@ -47,6 +47,8 @@ import re
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .binlog import file_lsn_range
+
 _PART_RE = re.compile(r"partition=(\d+)$")
 
 
@@ -101,19 +103,7 @@ class SegmentConsumer:
         for part, segs in self._partitions().items():
             lo = committed.get(part, -1)
             for f in segs:
-                md = pq.read_metadata(f)
-                ci = md.schema.to_arrow_schema().get_field_index("offset")
-                seg_max = None
-                if ci >= 0:
-                    maxes = []
-                    for rg in range(md.num_row_groups):
-                        st = md.row_group(rg).column(ci).statistics
-                        if st is None or not st.has_min_max:
-                            maxes = []
-                            break
-                        maxes.append(st.max)
-                    if maxes:
-                        seg_max = max(maxes)
+                seg_max = file_lsn_range(f, "offset")[1]
                 if seg_max is not None and seg_max <= lo:
                     continue  # fully consumed — never opened
                 files.append((part, f))

@@ -60,7 +60,7 @@ _V_RE = re.compile(r"^v(\d{6})\.json$")
 # cost and manifest bytes would grow linearly with lake age (measured:
 # ~15 KB/tick with 64 partitions). Full per-tick provenance within the
 # retention window stays queryable from the RETAINED older manifests.
-LINEAGE_KEEP = int(os.environ.get("NIFI_RAY_LINEAGE_KEEP", "64"))
+LINEAGE_KEEP = 64
 
 # counters summed into the rollup when a record ages off
 _ROLLUP_SUMS = (
@@ -349,13 +349,7 @@ def expire_versions(lake_dir: str, keep_last: int = 2) -> list[int]:
     """Delete manifest versions older than the newest ``keep_last``.
     Run before ``gc_orphans`` to release their exclusive part files.
     The latest manifest is never expired."""
-    mdir = os.path.join(lake_dir, _MANIFEST_DIR)
-    if not os.path.isdir(mdir):
-        return []
-    versions = sorted(
-        int(m.group(1)) for f in os.listdir(mdir) if (m := _V_RE.match(f))
-    )
-    expired = versions[: -max(keep_last, 1)]
+    expired = retained_versions(lake_dir)[: -max(keep_last, 1)]
     for v in expired:
         os.remove(manifest_path(lake_dir, v))
     return expired
@@ -368,10 +362,7 @@ def gc_orphans(lake_dir: str) -> list[str]:
     version never dangles — call ``expire_versions`` first to shrink
     the retained set. NiFi analog: orphaned content-claim cleanup on
     restart (reference nifi-docs/src/main/asciidoc/nifi-in-depth.adoc:52)."""
-    mdir = os.path.join(lake_dir, _MANIFEST_DIR)
-    if not os.path.isdir(mdir):
-        return []
-    versions = [int(m.group(1)) for f in os.listdir(mdir) if (m := _V_RE.match(f))]
+    versions = retained_versions(lake_dir)
     if not versions:
         return []
     live: set[str] = set()

@@ -27,7 +27,7 @@ def test_prune_skips_applied_files(tmp_path):
     paths = write_events(CFG, str(tmp_path), shards=4)
     kept, st = prune_event_files(paths, watermark=500)
     assert st.total == 4 and st.skipped_by_footer == 2
-    assert [os.path.basename(p) for p in kept] == [
+    assert [os.path.basename(f.path) for f in kept] == [
         "events-00002.parquet",
         "events-00003.parquet",
     ]
@@ -41,7 +41,8 @@ def test_prune_keeps_statless_files(tmp_path):
     p = str(tmp_path / "nostats.parquet")
     pq.write_table(t, p, write_statistics=False)
     kept, _ = prune_event_files([p], watermark=10**9)
-    assert kept == [p]  # cannot prove applied → must keep
+    # cannot prove applied → must keep, every row group planned
+    assert [(f.path, f.row_groups) for f in kept] == [(p, [0])]
 
 
 def test_continuity(tmp_path):

@@ -1,10 +1,11 @@
 """Replay hot-path shortcuts: each test fails if its guard is removed.
 
-- footer-proved plain reads must still quarantine every null-LSN row
-  exactly once (the proof requires ``null_count == 0``);
-- a file straddling the watermark is read filtered, and rows at or
-  below the watermark never re-apply (proof requires ``min > lo``;
-  apply-side guard runs when ``min(lsn) <= watermark``);
+- the tick plan selects a file's row groups from their lsn min/max and
+  null counts, and the map task reads each planned file once: its
+  null-LSN rows are quarantined exactly once, and a file straddling
+  the watermark or ``lsn_hi`` is filtered before validation, so rows
+  outside the range never re-apply or re-quarantine (apply-side guard
+  runs when ``min(lsn) <= watermark``);
 - collapse-before-stamp premerge returns the rows of the old
   stamp-then-collapse order;
 - lake parts never dictionary-encode ``tokens`` but keep it on
@@ -27,11 +28,11 @@ from nifi_ray.pipelines.cdc import (
     CDCLake,
     _cdc_apply_task,
     _cdc_map_task,
-    _lsn_footer,
     _premerge,
     _validate_events,
 )
 from nifi_ray.schema import BASE_SCHEMA, EVENT_SCHEMA
+from nifi_ray.sources.binlog import prune_event_files
 from nifi_ray.stages.lww import collapse_last_writer
 from nifi_ray.util.hashing import add_partition_column
 
@@ -76,7 +77,7 @@ def test_null_lsn_rows_quarantined_exactly_once(dirs):
     lake.replay(ev_dir)
     lo = lake.manifest().applied_through
     # every non-null lsn lies above the watermark, so only the null
-    # count keeps this file from being footer-proved
+    # counts make the map task filter this file
     t = _events(
         [lo + 1, None, lo + 2, None, lo + 3, lo + 4, None, lo + 5],
         ["a", "n1", "b", "n2", "c", "badop", "n3", "d"],
@@ -86,8 +87,7 @@ def test_null_lsn_rows_quarantined_exactly_once(dirs):
     os.makedirs(bad_dir)
     path = f"{bad_dir}/nulls.parquet"
     pq.write_table(t, path, row_group_size=3)
-    proven, has_nulls = _lsn_footer(pq.read_metadata(path), lo, None)
-    assert has_nulls and not proven
+    assert _planned(path, lo) == [0, 1, 2]
 
     st_ = lake.replay(bad_dir)
     assert st_.quarantined == 4
@@ -100,17 +100,35 @@ def test_null_lsn_rows_quarantined_exactly_once(dirs):
 
 
 # --------------------------------------------------------------- (b)
-def test_lsn_footer_proof_cases(tmp_path):
+def _planned(path: str, lo: int, lsn_hi: int | None = None) -> list[int] | None:
+    """Row groups the tick plan reads from ``path`` (None: skipped)."""
+    kept, _ = prune_event_files([path], lo, lsn_hi)
+    return kept[0].row_groups if kept else None
+
+
+def test_tick_plan_selects_row_groups(tmp_path):
     path = str(tmp_path / "ev.parquet")
-    pq.write_table(_events([11, 12, 13, 14], list("abcd"), ["I"] * 4), path,
+    # four row groups: [11, 12] [13, 14] [15, 16] [17, 18]
+    lsns = list(range(11, 19))
+    pq.write_table(_events(lsns, list("abcdefgh"), ["I"] * 8), path,
                    row_group_size=2)
-    md = pq.read_metadata(path)
-    assert _lsn_footer(md, 10, None) == (True, False)
-    assert _lsn_footer(md, 10, 14) == (True, False)
-    assert _lsn_footer(md, 11, None) == (False, False)  # min <= lo
-    assert _lsn_footer(md, 10, 13) == (False, False)  # max > lsn_hi
-    pq.write_table(_events([11, None], list("ab"), ["I"] * 2), path)
-    assert _lsn_footer(pq.read_metadata(path), 0, None) == (False, True)
+    assert _planned(path, 10) == [0, 1, 2, 3]  # wholly above lo
+    assert _planned(path, 14) == [2, 3]  # lo inside: groups at or below go
+    assert _planned(path, 13) == [1, 2, 3]
+    assert _planned(path, 10, 14) == [0, 1]  # lsn_hi below a group drops it
+    assert _planned(path, 12, 15) == [1, 2]
+    assert _planned(path, 18) is None  # whole-file skip unchanged
+    # a group holding nulls is always selected, an all-null one too
+    lsns[2] = None
+    lsns[4:6] = [None, None]
+    pq.write_table(_events(lsns, list("abcdefgh"), ["I"] * 8), path,
+                   row_group_size=2)
+    assert _planned(path, 16) == [1, 2, 3]
+    assert _planned(path, 0, 12) == [0, 1, 2]
+    # no statistics: every group is kept
+    pq.write_table(_events(list(range(11, 19)), list("abcdefgh"), ["I"] * 8),
+                   path, row_group_size=2, write_statistics=False)
+    assert _planned(path, 14, 15) == [0, 1, 2, 3]
 
 
 def test_straddling_file_reapplies_nothing_below_watermark(dirs):
@@ -121,13 +139,19 @@ def test_straddling_file_reapplies_nothing_below_watermark(dirs):
     f_lo = pc.min(pq.read_table(files[1], columns=["lsn"])["lsn"]).as_py()
     lake.replay(ev_dir, lsn_hi=f_lo + 100)  # watermark inside files[1]
     lo = lake.manifest().applied_through
-    assert _lsn_footer(pq.read_metadata(files[1]), lo, None) == (False, False)
+    f_hi = pc.max(pq.read_table(files[1], columns=["lsn"])["lsn"]).as_py()
+    assert f_lo <= lo < f_hi
 
-    # map side: no row at or below the watermark reaches a shard
-    shards = _cdc_map_task._function([files[1]], 4, lo, None, 4, None)
-    assert sum(s.num_rows for s in shards) > 0
-    for s in shards:
-        assert s.num_rows == 0 or pc.min(s["lsn"]).as_py() > lo
+    # map side: no row at or below the watermark reaches a shard, nor
+    # any above an lsn_hi inside the file
+    for hi in (None, lo + 50):
+        shards = _cdc_map_task._function(
+            [(files[1], _planned(files[1], lo, hi))], 4, lo, hi, 4, None
+        )
+        assert sum(s.num_rows for s in shards) > 0
+        for s in shards:
+            assert s.num_rows == 0 or pc.min(s["lsn"]).as_py() > lo
+            assert hi is None or s.num_rows == 0 or pc.max(s["lsn"]).as_py() <= hi
 
     st_ = lake.replay(ev_dir)
     ev = events_table(CFG)
@@ -136,6 +160,66 @@ def test_straddling_file_reapplies_nothing_below_watermark(dirs):
     oracle = apply_events([ev], state_from_base(base_table(CFG)))
     _assert_lake_equals_oracle(lake, oracle)
     assert lake.verify()["ok"]
+
+
+def test_straddling_file_requarantines_nothing_below_watermark(ray_session, tmp_path):
+    """A malformed row at or below the watermark in a straddling file
+    is filtered before validation on the resumed tick, so it is not
+    quarantined a second time next to the file's new malformed rows."""
+    lake = CDCLake(str(tmp_path / "l"))
+    lake.init_from(base_table(CFG), num_partitions=4)
+    ev_dir = tmp_path / "ev"
+    ev_dir.mkdir()
+    pq.write_table(
+        _events([1, 2, 3, 4, 5, 6], ["a", None, "b", "c", "d", "e"],
+                ["I", "I", "I", "I", "X", "I"]),
+        str(ev_dir / "ev.parquet"),
+    )
+    assert lake.replay(str(ev_dir), lsn_hi=3).quarantined == 1  # null doc_id
+    st_ = lake.replay(str(ev_dir))  # straddles the watermark 3
+    assert st_.quarantined == 1  # the bad op only
+    assert st_.events_applied == 2
+    q = lake.quarantine()
+    assert q.num_rows == 2
+    assert sorted(q["lsn"].to_pylist()) == [2, 5]
+
+
+def test_map_task_reads_each_event_file_once(tmp_path, monkeypatch):
+    """One plain ``ParquetFile`` read per event file, with no Dataset
+    scanner and no second read for null LSNs, on a straddling,
+    null-bearing, multi-row-group file."""
+    import pyarrow.dataset as pads
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    # row groups [1, 2, 3] [null, 5, 6] [7, 8, 9] [10, 11, 12]
+    lsns = [1, 2, 3, None, 5, 6, 7, 8, 9, 10, 11, 12]
+    pq.write_table(_events(lsns, [f"a{i}" for i in range(12)], ["I"] * 12), a,
+                   row_group_size=3)
+    pq.write_table(_events([7, 8], ["b0", "b1"], ["I", "I"]), b)
+    lo, hi = 6, 8
+    items = [(p, _planned(p, lo, hi)) for p in (a, b)]
+    assert items[0][1] == [1, 2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("event reads must not build a Dataset scanner")
+
+    opened = []
+
+    class CountingParquetFile(pq.ParquetFile):
+        def __init__(self, source, *args, **kwargs):
+            opened.append(source)
+            super().__init__(source, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", refuse)
+    monkeypatch.setattr(pads, "dataset", refuse)
+    monkeypatch.setattr(pq, "ParquetFile", CountingParquetFile)
+    qdir = str(tmp_path / "q")
+    shards = _cdc_map_task._function(items, 4, lo, hi, 4, qdir)
+    assert opened == [a, b]
+    got = pa.concat_tables(shards)
+    assert sorted(got["doc_id"].to_pylist()) == ["a6", "a7", "b0", "b1"]
+    (qfile,) = os.listdir(qdir)
+    assert pq.ParquetFile(os.path.join(qdir, qfile)).read()["doc_id"].to_pylist() == ["a3"]
 
 
 def test_apply_guard_drops_and_counts_rows_at_or_below_watermark(tmp_path):
